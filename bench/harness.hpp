@@ -243,47 +243,47 @@ inline ExpResult run_experiment(const ExpParams& params) {
 
 /// When PDC_BENCH_JSON names a file, every experiment point appends one
 /// JSON object (JSONL) so suites can be post-processed without scraping the
-/// human-readable tables.
-inline void emit_json_row(const ExpParams& params, const ExpResult& r) {
+/// human-readable tables.  A failed append ends the bench with exit 1: a
+/// suite that silently loses rows would pass its gates on missing data.
+inline void append_json_row(const obs::Json& row) {
   const char* path = std::getenv("PDC_BENCH_JSON");
   if (!path || !*path) return;
-  std::string row = "{";
-  row += "\"label\": \"" + obs::json_escape(params.label) + "\"";
-  row += ", \"p\": " + std::to_string(params.p);
-  row += ", \"records\": " + std::to_string(params.records);
-  row += ", \"function\": " + std::to_string(params.function);
-  row += ", \"parallel_time_s\": " + obs::json_number(r.parallel_time);
-  row += ", \"max_compute_s\": " + obs::json_number(r.max_compute);
-  row += ", \"max_comm_s\": " + obs::json_number(r.max_comm);
-  row += ", \"max_io_s\": " + obs::json_number(r.max_io);
-  row += ", \"io_hidden_s\": " + obs::json_number(r.io_hidden);
-  row += ", \"balance\": " + obs::json_number(r.balance);
-  row += ", \"max_idle_s\": " + obs::json_number(r.max_idle);
+  try {
+    obs::write_file(path, row.dump() + "\n", /*append=*/true);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: PDC_BENCH_JSON: %s\n", e.what());
+    std::exit(1);
+  }
+}
+
+inline void emit_json_row(const ExpParams& params, const ExpResult& r) {
+  obs::Json row = obs::Json::object({{"label", params.label},
+                                     {"p", params.p},
+                                     {"records", params.records},
+                                     {"function", params.function},
+                                     {"parallel_time_s", r.parallel_time},
+                                     {"max_compute_s", r.max_compute},
+                                     {"max_comm_s", r.max_comm},
+                                     {"max_io_s", r.max_io},
+                                     {"io_hidden_s", r.io_hidden},
+                                     {"balance", r.balance},
+                                     {"max_idle_s", r.max_idle}});
   if (r.profiled) {
-    row += ", \"crit_compute_s\": " + obs::json_number(r.crit_compute);
-    row += ", \"crit_comm_s\": " + obs::json_number(r.crit_comm);
-    row += ", \"crit_io_s\": " + obs::json_number(r.crit_io);
-    row += ", \"crit_idle_s\": " + obs::json_number(r.crit_idle);
-    row += ", \"headroom_comm\": " + obs::json_number(r.headroom_comm);
-    row += ", \"headroom_io\": " + obs::json_number(r.headroom_io);
-    row += ", \"headroom_balance\": " + obs::json_number(r.headroom_balance);
+    row.set("crit_compute_s", r.crit_compute);
+    row.set("crit_comm_s", r.crit_comm);
+    row.set("crit_io_s", r.crit_io);
+    row.set("crit_idle_s", r.crit_idle);
+    row.set("headroom_comm", r.headroom_comm);
+    row.set("headroom_io", r.headroom_io);
+    row.set("headroom_balance", r.headroom_balance);
   }
-  row += ", \"bytes_read\": " + std::to_string(r.bytes_read);
-  row += ", \"bytes_written\": " + std::to_string(r.bytes_written);
-  row += ", \"io_ops\": " + std::to_string(r.io_ops);
-  row += ", \"records_redistributed\": " +
-         std::to_string(r.records_redistributed);
-  row += ", \"tree_nodes\": " + std::to_string(r.tree_nodes);
-  if (r.accuracy >= 0.0) {
-    row += ", \"accuracy\": " + obs::json_number(r.accuracy);
-  }
-  row += "}\n";
-  if (std::FILE* f = std::fopen(path, "ab")) {
-    std::fwrite(row.data(), 1, row.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "bench: cannot append to PDC_BENCH_JSON=%s\n", path);
-  }
+  row.set("bytes_read", r.bytes_read);
+  row.set("bytes_written", r.bytes_written);
+  row.set("io_ops", r.io_ops);
+  row.set("records_redistributed", r.records_redistributed);
+  row.set("tree_nodes", r.tree_nodes);
+  if (r.accuracy >= 0.0) row.set("accuracy", r.accuracy);
+  append_json_row(row);
 }
 
 }  // namespace pdc::bench

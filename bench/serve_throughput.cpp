@@ -22,13 +22,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "clouds/builder.hpp"
 #include "data/agrawal.hpp"
+#include "harness.hpp"
 #include "obs/json.hpp"
 #include "serve/compiled_tree.hpp"
 #include "serve/loadgen.hpp"
@@ -51,40 +51,9 @@ double now_s() {
       .count();
 }
 
-std::uint64_t scaled(std::uint64_t records) {
-  if (const char* env = std::getenv("PDC_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0) {
-      return static_cast<std::uint64_t>(static_cast<double>(records) * s);
-    }
-  }
-  return records;
-}
-
 unsigned hw_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-void emit_row(const std::string& label, const std::string& mode, int threads,
-              std::uint64_t records, double wall_s, double records_per_s) {
-  const char* path = std::getenv("PDC_BENCH_JSON");
-  if (!path || !*path) return;
-  std::string row = "{";
-  row += "\"label\": \"" + pdc::obs::json_escape(label) + "\"";
-  row += ", \"mode\": \"" + pdc::obs::json_escape(mode) + "\"";
-  row += ", \"threads\": " + std::to_string(threads);
-  row += ", \"hw_threads\": " + std::to_string(hw_threads());
-  row += ", \"records\": " + std::to_string(records);
-  row += ", \"wall_s\": " + pdc::obs::json_number(wall_s);
-  row += ", \"records_per_s\": " + pdc::obs::json_number(records_per_s);
-  row += "}\n";
-  if (std::FILE* f = std::fopen(path, "ab")) {
-    std::fwrite(row.data(), 1, row.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "bench: cannot append to PDC_BENCH_JSON=%s\n", path);
-  }
 }
 
 /// Best-of-`reps` records/s for `body(records)`; the sink defeats
@@ -107,8 +76,8 @@ double best_rps(int reps, std::uint64_t records, Body&& body,
 }  // namespace
 
 int main() {
-  const std::uint64_t n_train = scaled(2'000'000);
-  const std::uint64_t n_serve = scaled(200'000);
+  const std::uint64_t n_train = pdc::bench::scaled(2'000'000);
+  const std::uint64_t n_serve = pdc::bench::scaled(200'000);
   constexpr int kReps = 3;
   constexpr std::size_t kBatch = 2048;
 
@@ -133,6 +102,20 @@ int main() {
               static_cast<unsigned long long>(n_serve),
               compiled.node_count(), compiled.depth(), hw_threads());
 
+  // One JSONL row per point; records_per_s is the measurement (wall_s is
+  // not measured here and stays 0).
+  const auto emit_row = [&](const std::string& label, const char* mode,
+                            int threads, double records_per_s) {
+    pdc::bench::append_json_row(
+        pdc::obs::Json::object({{"label", label},
+                                {"mode", mode},
+                                {"threads", threads},
+                                {"hw_threads", hw_threads()},
+                                {"records", n_serve},
+                                {"wall_s", 0.0},
+                                {"records_per_s", records_per_s}}));
+  };
+
   std::uint64_t sink = 0;
 
   const double rps_interp = best_rps(
@@ -145,7 +128,7 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/interp", "interpreted", 1, n_serve, 0.0, rps_interp);
+  emit_row("serve/interp", "interpreted", 1, rps_interp);
   std::printf("%-24s %12.0f records/s\n", "interpreted", rps_interp);
 
   const double rps_single = best_rps(
@@ -158,8 +141,7 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/compiled/single", "compiled-single", 1, n_serve, 0.0,
-           rps_single);
+  emit_row("serve/compiled/single", "compiled-single", 1, rps_single);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled single",
               rps_single, rps_single / rps_interp);
 
@@ -171,8 +153,7 @@ int main() {
         return static_cast<std::uint64_t>(out[0]);
       },
       &sink);
-  emit_row("serve/compiled/batch", "compiled-batch", 1, n_serve, 0.0,
-           rps_batch);
+  emit_row("serve/compiled/batch", "compiled-batch", 1, rps_batch);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled batch",
               rps_batch, rps_batch / rps_interp);
 
@@ -195,8 +176,7 @@ int main() {
       best = std::max(best, report.records_per_s);
     }
     if (r == 1) rps_r1 = best;
-    emit_row("serve/replicas/r=" + std::to_string(r), "served", r,
-             n_serve, 0.0, best);
+    emit_row("serve/replicas/r=" + std::to_string(r), "served", r, best);
     std::printf("served, %d replica%-3s %12.0f records/s (%.2fx r=1)\n", r,
                 r == 1 ? ":" : "s:", best, best / rps_r1);
   }

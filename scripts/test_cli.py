@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Argument-handling tests for pclouds_cli: bad flags and malformed
 values must exit 2 with a message naming the offending flag on stderr,
-and a small good run must exit 0.
+and a small good run must exit 0.  An artifact that cannot be written
+(a full disk) must fail the run of pclouds_cli and of pdc_serve_cli,
+which is found in the same directory as pclouds_cli.
 
 Usage: test_cli.py /path/to/pclouds_cli
 """
 
+import os
 import subprocess
 import sys
 import unittest
@@ -71,6 +74,25 @@ class AcceptsGoodArguments(unittest.TestCase):
         r = run(*GOOD_ARGS)
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("modeled time", r.stdout)
+
+
+@unittest.skipUnless(os.path.exists("/dev/full"), "needs /dev/full")
+class FailsOnFullDisk(unittest.TestCase):
+    """Writes to /dev/full fail with ENOSPC, often only at fclose."""
+
+    def check_fails(self, argv):
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        self.assertEqual(r.returncode, 1, f"{argv}: {r.stderr}")
+        self.assertIn("/dev/full", r.stderr)
+
+    def test_pclouds_report(self):
+        self.check_fails([CLI, "--procs", "2", "--records", "4000",
+                          "--report", "/dev/full"])
+
+    def test_serve_report(self):
+        serve_cli = os.path.join(os.path.dirname(CLI), "pdc_serve_cli")
+        self.check_fails([serve_cli, "--train-records", "4000",
+                          "--requests", "8", "--report", "/dev/full"])
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,36 +9,17 @@
 
 namespace pdc::obs {
 
-Json Json::make_bool(bool b) {
-  Json j;
-  j.type_ = Type::kBool;
-  j.bool_ = b;
-  return j;
-}
-
-Json Json::make_number(double v) {
-  Json j;
-  j.type_ = Type::kNumber;
-  j.number_ = v;
-  return j;
-}
-
-Json Json::make_string(std::string s) {
-  Json j;
-  j.type_ = Type::kString;
-  j.string_ = std::move(s);
-  return j;
-}
-
-Json Json::make_array() {
-  Json j;
-  j.type_ = Type::kArray;
-  return j;
-}
-
-Json Json::make_object() {
+Json Json::object(std::initializer_list<Member> members) {
   Json j;
   j.type_ = Type::kObject;
+  j.object_.assign(members.begin(), members.end());
+  return j;
+}
+
+Json Json::array(std::initializer_list<Json> items) {
+  Json j;
+  j.type_ = Type::kArray;
+  j.array_.assign(items.begin(), items.end());
   return j;
 }
 
@@ -48,7 +30,27 @@ bool Json::as_bool() const {
 
 double Json::as_number() const {
   if (type_ != Type::kNumber) throw std::runtime_error("Json: not a number");
+  switch (num_) {
+    case Num::kDouble: return number_;
+    case Num::kInt: return static_cast<double>(static_cast<std::int64_t>(int_));
+    case Num::kUint: return static_cast<double>(int_);
+  }
   return number_;
+}
+
+std::uint64_t Json::as_uint() const {
+  if (type_ != Type::kNumber || num_ != Num::kUint) {
+    throw std::runtime_error("Json: not an unsigned integer");
+  }
+  return int_;
+}
+
+std::int64_t Json::as_int() const {
+  if (type_ != Type::kNumber || num_ == Num::kDouble ||
+      (num_ == Num::kUint && int_ > static_cast<std::uint64_t>(INT64_MAX))) {
+    throw std::runtime_error("Json: not a signed 64-bit integer");
+  }
+  return static_cast<std::int64_t>(int_);
 }
 
 const std::string& Json::as_string() const {
@@ -87,7 +89,7 @@ const Json& Json::at(std::string_view key) const {
   return *v;
 }
 
-const std::vector<std::pair<std::string, Json>>& Json::members() const {
+const std::vector<Json::Member>& Json::members() const {
   if (type_ != Type::kObject) throw std::runtime_error("Json: not an object");
   return object_;
 }
@@ -108,6 +110,9 @@ void Json::set(std::string key, Json v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
+namespace {
+
+/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -132,6 +137,8 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+}  // namespace
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -140,31 +147,59 @@ std::string json_number(double v) {
 }
 
 std::string Json::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
-    case Type::kNull: return "null";
-    case Type::kBool: return bool_ ? "true" : "false";
-    case Type::kNumber: return json_number(number_);
-    case Type::kString: return "\"" + json_escape(string_) + "\"";
-    case Type::kArray: {
-      std::string out = "[";
+    case Type::kNull: out += "null"; return;
+    case Type::kBool: out += bool_ ? "true" : "false"; return;
+    case Type::kNumber:
+      switch (num_) {
+        case Num::kDouble: out += json_number(number_); return;
+        case Num::kInt:
+          out += std::to_string(static_cast<std::int64_t>(int_));
+          return;
+        case Num::kUint: out += std::to_string(int_); return;
+      }
+      return;
+    case Type::kString:
+      out += '"';
+      out += json_escape(string_);
+      out += '"';
+      return;
+    case Type::kArray:
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i) out += ",";
-        out += array_[i].dump();
+        if (i) out += ',';
+        array_[i].dump_to(out);
       }
-      return out + "]";
-    }
-    case Type::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& [k, v] : object_) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"" + json_escape(k) + "\":" + v.dump();
+      out += ']';
+      return;
+    case Type::kObject:
+      out += '{';
+      for (std::size_t i = 0; i < object_.size(); ++i) {
+        if (i) out += ',';
+        out += '"';
+        out += json_escape(object_[i].first);
+        out += "\":";
+        object_[i].second.dump_to(out);
       }
-      return out + "}";
-    }
+      out += '}';
+      return;
   }
-  return "null";
+}
+
+void write_file(const std::string& path, std::string_view text, bool append) {
+  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
+  std::FILE* f = std::fopen(path.c_str(), append ? "ab" : "wb");
+  if (!f) throw std::runtime_error("cannot create " + path);
+  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // fclose flushes the stdio buffer: a full disk often surfaces only here.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed) throw std::runtime_error("cannot write " + path);
 }
 
 namespace {
@@ -329,10 +364,24 @@ class JsonParser {
     }
     if (pos_ == start) fail("expected a value");
     const std::string tok(text_.substr(start, pos_ - start));
+    // Integer tokens stay exact; "-0" and out-of-range ones are doubles.
+    if (tok.find_first_of(".eE") == std::string::npos && tok != "-0") {
+      const char* first = tok.data();
+      const char* last = first + tok.size();
+      if (tok.front() == '-') {
+        std::int64_t i = 0;
+        const auto [p, ec] = std::from_chars(first, last, i);
+        if (ec == std::errc() && p == last) return Json(i);
+      } else {
+        std::uint64_t u = 0;
+        const auto [p, ec] = std::from_chars(first, last, u);
+        if (ec == std::errc() && p == last) return Json(u);
+      }
+    }
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (end != tok.c_str() + tok.size()) fail("malformed number");
-    return Json::make_number(v);
+    return Json(v);
   }
 
   std::string_view text_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <string_view>
 
 #include "obs/json.hpp"
@@ -120,11 +118,11 @@ std::string_view overlay_name(CritBucket b) {
   return span_names::kCritCompute;
 }
 
-void append_slice_json(std::string& out, const Profile::Slice& s) {
-  out += "{\"compute_s\":" + json_number(s.compute_s);
-  out += ",\"comm_s\":" + json_number(s.comm_s);
-  out += ",\"io_s\":" + json_number(s.io_s);
-  out += ",\"idle_s\":" + json_number(s.idle_s) + "}";
+Json slice_json(const Profile::Slice& s) {
+  return Json::object({{"compute_s", s.compute_s},
+                       {"comm_s", s.comm_s},
+                       {"io_s", s.io_s},
+                       {"idle_s", s.idle_s}});
 }
 
 }  // namespace
@@ -295,79 +293,51 @@ Profile build_profile(const Tracer& tracer,
 }
 
 std::string Profile::to_json() const {
-  std::string out = "{\n  \"schema\": \"pdc.profile.v1\",\n";
-  out += "  \"nprocs\": " + json_number(nprocs) + ",\n";
-  out += "  \"parallel_time_s\": " + json_number(parallel_time_s) + ",\n";
-  out += "  \"max_idle_s\": " + json_number(max_idle_s) + ",\n";
-  out += "  \"crit\": ";
-  append_slice_json(out, crit);
-  out += ",\n  \"by_phase\": {";
-  bool first = true;
+  Json jphase = Json::object();
   for (const auto& [name, slice] : by_phase) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    \"" + json_escape(name) + "\": ";
-    append_slice_json(out, slice);
+    jphase.set(name, slice_json(slice));
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"by_depth\": {";
-  first = true;
-  for (const auto& [key, slice] : by_depth) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    \"" + json_escape(key) + "\": ";
-    append_slice_json(out, slice);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"rollups\": [";
-  first = true;
+  Json jdepth = Json::object();
+  for (const auto& [key, slice] : by_depth) jdepth.set(key, slice_json(slice));
+  Json jrollups = Json::array();
   for (const Rollup& r : rollups) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"name\":\"" + json_escape(r.name) + "\"";
-    out += ",\"cat\":\"" + json_escape(r.cat) + "\"";
-    out += ",\"count\":" + json_number(static_cast<double>(r.count));
-    out += ",\"total_s\":" + json_number(r.total_s);
-    out += ",\"self_s\":" + json_number(r.self_s);
-    out += ",\"crit_s\":" + json_number(r.crit_s) + "}";
+    jrollups.push_back(Json::object({{"name", r.name},
+                                     {"cat", r.cat},
+                                     {"count", r.count},
+                                     {"total_s", r.total_s},
+                                     {"self_s", r.self_s},
+                                     {"crit_s", r.crit_s}}));
   }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"whatif\": {";
-  out += "\"t_baseline_s\":" + json_number(t_baseline_s);
-  out += ",\"t_comm_free_s\":" + json_number(t_comm_free_s);
-  out += ",\"t_io_free_s\":" + json_number(t_io_free_s);
-  out += ",\"t_balanced_s\":" + json_number(t_balanced_s);
-  out += ",\"headroom_comm\":" + json_number(headroom_comm);
-  out += ",\"headroom_io\":" + json_number(headroom_io);
-  out += ",\"headroom_balance\":" + json_number(headroom_balance) + "},\n";
-  out += "  \"segments\": [";
-  first = true;
-  for (const CritSegment& s : segments) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"rank\":" + json_number(s.rank);
-    out += ",\"begin_s\":" + json_number(s.begin_s);
-    out += ",\"end_s\":" + json_number(s.end_s);
-    out += ",\"bucket\":\"" + std::string(bucket_name(s.bucket)) + "\"";
-    out += ",\"op\":\"" + json_escape(s.op) + "\"}";
+  Json jsegments = Json::array();
+  for (const CritSegment& seg : segments) {
+    jsegments.push_back(Json::object({{"rank", seg.rank},
+                                      {"begin_s", seg.begin_s},
+                                      {"end_s", seg.end_s},
+                                      {"bucket", bucket_name(seg.bucket)},
+                                      {"op", seg.op}}));
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  Json whatif = Json::object({{"t_baseline_s", t_baseline_s},
+                              {"t_comm_free_s", t_comm_free_s},
+                              {"t_io_free_s", t_io_free_s},
+                              {"t_balanced_s", t_balanced_s},
+                              {"headroom_comm", headroom_comm},
+                              {"headroom_io", headroom_io},
+                              {"headroom_balance", headroom_balance}});
+  return Json::object({{"schema", "pdc.profile.v1"},
+                       {"nprocs", nprocs},
+                       {"parallel_time_s", parallel_time_s},
+                       {"max_idle_s", max_idle_s},
+                       {"crit", slice_json(crit)},
+                       {"by_phase", std::move(jphase)},
+                       {"by_depth", std::move(jdepth)},
+                       {"rollups", std::move(jrollups)},
+                       {"whatif", std::move(whatif)},
+                       {"segments", std::move(jsegments)}})
+      .dump();
 }
 
 void Profile::write_json(const std::string& path) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("Profile: cannot create " + path);
-  const std::string doc = to_json();
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("Profile: short write to " + path);
-  }
+  write_file(path, to_json());
 }
 
 std::vector<std::pair<int, TraceEvent>> overlay_events(const Profile& p) {

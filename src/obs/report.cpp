@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -35,108 +34,70 @@ io::IoStats RunReport::total_io() const {
   return total;
 }
 
-namespace {
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
-
-}  // namespace
-
 std::string RunReport::to_json() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"pdc.run_report.v1\",\n";
-  out += "  \"classifier\": \"" + json_escape(classifier) + "\",\n";
-  out += "  \"nprocs\": " + std::to_string(nprocs) + ",\n";
-  out += "  \"records\": " + u64(records) + ",\n";
-  out += "  \"parallel_time_s\": " + json_number(parallel_time_s()) + ",\n";
-  out += "  \"balance\": " + json_number(balance()) + ",\n";
-  out += "  \"ranks\": [\n";
+  Json jranks = Json::array();
   for (std::size_t r = 0; r < ranks.size(); ++r) {
     const auto& rk = ranks[r];
-    out += "    {\"rank\": " + std::to_string(r) +
-           ", \"compute_s\": " + json_number(rk.clock.compute_s) +
-           ", \"comm_s\": " + json_number(rk.clock.comm_s) +
-           ", \"io_s\": " + json_number(rk.clock.io_s) +
-           ", \"io_hidden_s\": " + json_number(rk.clock.io_hidden_s) +
-           ", \"idle_s\": " + json_number(rk.clock.idle_s) +
-           ", \"total_s\": " + json_number(rk.clock.total()) +
-           ", \"read_ops\": " + u64(rk.io.read_ops) +
-           ", \"write_ops\": " + u64(rk.io.write_ops) +
-           ", \"bytes_read\": " + u64(rk.io.bytes_read) +
-           ", \"bytes_written\": " + u64(rk.io.bytes_written) + "}";
-    out += (r + 1 < ranks.size()) ? ",\n" : "\n";
+    jranks.push_back(Json::object({{"rank", r},
+                                   {"compute_s", rk.clock.compute_s},
+                                   {"comm_s", rk.clock.comm_s},
+                                   {"io_s", rk.clock.io_s},
+                                   {"io_hidden_s", rk.clock.io_hidden_s},
+                                   {"idle_s", rk.clock.idle_s},
+                                   {"total_s", rk.clock.total()},
+                                   {"read_ops", rk.io.read_ops},
+                                   {"write_ops", rk.io.write_ops},
+                                   {"bytes_read", rk.io.bytes_read},
+                                   {"bytes_written", rk.io.bytes_written}}));
   }
-  out += "  ],\n";
-  out += "  \"tree\": {\"nodes\": " + u64(tree.nodes) +
-         ", \"leaves\": " + u64(tree.leaves) +
-         ", \"depth\": " + std::to_string(tree.depth) + "},\n";
+  Json doc = Json::object(
+      {{"schema", "pdc.run_report.v1"},
+       {"classifier", classifier},
+       {"nprocs", nprocs},
+       {"records", records},
+       {"parallel_time_s", parallel_time_s()},
+       {"balance", balance()},
+       {"ranks", std::move(jranks)},
+       {"tree", Json::object({{"nodes", tree.nodes},
+                              {"leaves", tree.leaves},
+                              {"depth", tree.depth}})}});
   if (!lockstep_divergence.empty()) {
-    out += "  \"lockstep_divergence\": [\n";
-    for (std::size_t i = 0; i < lockstep_divergence.size(); ++i) {
-      const auto& e = lockstep_divergence[i];
+    Json jlock = Json::array();
+    for (const auto& e : lockstep_divergence) {
       char site_hex[17];
       std::snprintf(site_hex, sizeof(site_hex), "%016llx",
                     static_cast<unsigned long long>(e.site));
-      out += "    {\"rank\": " + std::to_string(e.rank) +
-             ", \"global_rank\": " + std::to_string(e.global_rank) +
-             ", \"site\": \"" + site_hex + "\", \"seq\": " + u64(e.seq) +
-             ", \"prim\": \"" + json_escape(e.prim) + "\", \"where\": \"" +
-             json_escape(e.where) + "\"}";
-      out += (i + 1 < lockstep_divergence.size()) ? ",\n" : "\n";
+      jlock.push_back(Json::object({{"rank", e.rank},
+                                    {"global_rank", e.global_rank},
+                                    {"site", site_hex},
+                                    {"seq", e.seq},
+                                    {"prim", e.prim},
+                                    {"where", e.where}}));
     }
-    out += "  ],\n";
+    doc.set("lockstep_divergence", std::move(jlock));
   }
-  if (accuracy >= 0.0) {
-    out += "  \"accuracy\": " + json_number(accuracy) + ",\n";
+  if (accuracy >= 0.0) doc.set("accuracy", accuracy);
+
+  Json counters = Json::object();
+  for (const auto& [name, c] : metrics.counters()) counters.set(name, c.value);
+  Json gauges = Json::object();
+  for (const auto& [name, g] : metrics.gauges()) gauges.set(name, g.value);
+  Json histograms = Json::object();
+  for (const auto& [name, h] : metrics.histograms()) {
+    histograms.set(name, Json::object({{"count", h.count},
+                                       {"sum", h.sum},
+                                       {"min", h.min},
+                                       {"max", h.max},
+                                       {"mean", h.mean()}}));
   }
-  out += "  \"metrics\": {\n";
-  out += "    \"counters\": {";
-  {
-    bool first = true;
-    for (const auto& [name, c] : metrics.counters()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": " + u64(c.value);
-    }
-  }
-  out += "},\n    \"gauges\": {";
-  {
-    bool first = true;
-    for (const auto& [name, g] : metrics.gauges()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": " + json_number(g.value);
-    }
-  }
-  out += "},\n    \"histograms\": {";
-  {
-    bool first = true;
-    for (const auto& [name, h] : metrics.histograms()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + json_escape(name) + "\": {\"count\": " + u64(h.count) +
-             ", \"sum\": " + json_number(h.sum) +
-             ", \"min\": " + json_number(h.min) +
-             ", \"max\": " + json_number(h.max) +
-             ", \"mean\": " + json_number(h.mean()) + "}";
-    }
-  }
-  out += "}\n  }\n}\n";
-  return out;
+  doc.set("metrics", Json::object({{"counters", std::move(counters)},
+                                   {"gauges", std::move(gauges)},
+                                   {"histograms", std::move(histograms)}}));
+  return doc.dump();
 }
 
 void RunReport::write_json(const std::string& path) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("RunReport: cannot create " + path);
-  const std::string doc = to_json();
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("RunReport: short write to " + path);
-  }
+  write_file(path, to_json());
 }
 
 RunReport RunReport::from_json(std::string_view text) {
@@ -148,8 +109,8 @@ RunReport RunReport::from_json(std::string_view text) {
 
   RunReport out;
   out.classifier = doc.at("classifier").as_string();
-  out.nprocs = static_cast<int>(doc.at("nprocs").as_number());
-  out.records = static_cast<std::uint64_t>(doc.at("records").as_number());
+  out.nprocs = static_cast<int>(doc.at("nprocs").as_int());
+  out.records = doc.at("records").as_uint();
 
   for (const auto& rj : doc.at("ranks").items()) {
     Rank rk;
@@ -161,27 +122,25 @@ RunReport RunReport::from_json(std::string_view text) {
       rk.clock.io_hidden_s = hidden->as_number();
     }
     rk.clock.idle_s = rj.at("idle_s").as_number();
-    rk.io.read_ops = static_cast<std::size_t>(rj.at("read_ops").as_number());
-    rk.io.write_ops = static_cast<std::size_t>(rj.at("write_ops").as_number());
-    rk.io.bytes_read =
-        static_cast<std::size_t>(rj.at("bytes_read").as_number());
-    rk.io.bytes_written =
-        static_cast<std::size_t>(rj.at("bytes_written").as_number());
+    rk.io.read_ops = rj.at("read_ops").as_uint();
+    rk.io.write_ops = rj.at("write_ops").as_uint();
+    rk.io.bytes_read = rj.at("bytes_read").as_uint();
+    rk.io.bytes_written = rj.at("bytes_written").as_uint();
     out.ranks.push_back(rk);
   }
 
   const Json& tj = doc.at("tree");
-  out.tree.nodes = static_cast<std::uint64_t>(tj.at("nodes").as_number());
-  out.tree.leaves = static_cast<std::uint64_t>(tj.at("leaves").as_number());
-  out.tree.depth = static_cast<std::int32_t>(tj.at("depth").as_number());
+  out.tree.nodes = tj.at("nodes").as_uint();
+  out.tree.leaves = tj.at("leaves").as_uint();
+  out.tree.depth = static_cast<std::int32_t>(tj.at("depth").as_int());
 
   if (const Json* lock = doc.find("lockstep_divergence")) {
     for (const auto& ej : lock->items()) {
       LockstepRank e;
-      e.rank = static_cast<int>(ej.at("rank").as_number());
-      e.global_rank = static_cast<int>(ej.at("global_rank").as_number());
+      e.rank = static_cast<int>(ej.at("rank").as_int());
+      e.global_rank = static_cast<int>(ej.at("global_rank").as_int());
       e.site = std::strtoull(ej.at("site").as_string().c_str(), nullptr, 16);
-      e.seq = static_cast<std::uint64_t>(ej.at("seq").as_number());
+      e.seq = ej.at("seq").as_uint();
       e.prim = ej.at("prim").as_string();
       e.where = ej.at("where").as_string();
       out.lockstep_divergence.push_back(std::move(e));
@@ -194,15 +153,14 @@ RunReport RunReport::from_json(std::string_view text) {
 
   const Json& mj = doc.at("metrics");
   for (const auto& [name, v] : mj.at("counters").members()) {
-    out.metrics.counter(name).value =
-        static_cast<std::uint64_t>(v.as_number());
+    out.metrics.counter(name).value = v.as_uint();
   }
   for (const auto& [name, v] : mj.at("gauges").members()) {
     out.metrics.gauge(name).value = v.as_number();
   }
   for (const auto& [name, v] : mj.at("histograms").members()) {
     HistogramSummary& h = out.metrics.histogram(name);
-    h.count = static_cast<std::uint64_t>(v.at("count").as_number());
+    h.count = v.at("count").as_uint();
     h.sum = v.at("sum").as_number();
     // An empty histogram serializes min/max (±inf) as null.
     if (v.at("min").is_number()) h.min = v.at("min").as_number();

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -87,105 +86,93 @@ void RankTracer::do_gauge(std::string_view name, double value) const {
 namespace {
 
 /// Modeled seconds -> trace microseconds (Chrome's native unit).
-std::string trace_us(double seconds) { return json_number(seconds * 1e6); }
+double trace_us(double seconds) { return seconds * 1e6; }
 
-void append_event_json(std::string& out, const TraceEvent& ev, int rank) {
-  const std::string common = "\"pid\":0,\"tid\":" + std::to_string(rank) +
-                             ",\"ts\":" + trace_us(ev.begin_s);
+Json event_json(const TraceEvent& ev, int rank) {
   switch (ev.kind) {
     case TraceEvent::Kind::kComplete: {
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-             json_escape(ev.cat) + "\",\"ph\":\"X\"," + common +
-             ",\"dur\":" + trace_us(ev.end_s - ev.begin_s);
-      const bool any_arg = ev.bytes != kNoArg || ev.n != kNoArg ||
-                           ev.site != kNoArg || ev.comm != kNoArg ||
-                           ev.seq != kNoArg || ev.peer != kNoArg ||
-                           ev.depth != kNoArg;
-      if (any_arg) {
-        out += ",\"args\":{";
-        bool first = true;
-        const auto arg = [&](const char* key, std::uint64_t v) {
-          if (v == kNoArg) return;
-          if (!first) out += ",";
-          first = false;
-          out += std::string("\"") + key + "\":" + std::to_string(v);
-        };
-        arg("bytes", ev.bytes);
-        arg("n", ev.n);
-        if (ev.site != kNoArg) {
-          // Site hashes render as hex to match the lockstep reports.
-          char hex[17];
-          std::snprintf(hex, sizeof(hex), "%016llx",
-                        static_cast<unsigned long long>(ev.site));
-          if (!first) out += ",";
-          first = false;
-          out += std::string("\"site\":\"") + hex + "\"";
-        }
-        arg("comm", ev.comm);
-        arg("seq", ev.seq);
-        arg("peer", ev.peer);
-        arg("depth", ev.depth);
-        out += "}";
+      Json doc = Json::object({{"name", ev.name},
+                               {"cat", ev.cat},
+                               {"ph", "X"},
+                               {"pid", 0},
+                               {"tid", rank},
+                               {"ts", trace_us(ev.begin_s)},
+                               {"dur", trace_us(ev.end_s - ev.begin_s)}});
+      Json args = Json::object();
+      const auto arg = [&args](const char* key, std::uint64_t v) {
+        if (v != kNoArg) args.set(key, v);
+      };
+      arg("bytes", ev.bytes);
+      arg("n", ev.n);
+      if (ev.site != kNoArg) {
+        // Site hashes render as hex to match the lockstep reports.
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(ev.site));
+        args.set("site", hex);
       }
-      out += "}";
-      break;
+      arg("comm", ev.comm);
+      arg("seq", ev.seq);
+      arg("peer", ev.peer);
+      arg("depth", ev.depth);
+      if (args.size() != 0) doc.set("args", std::move(args));
+      return doc;
     }
     case TraceEvent::Kind::kInstant:
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-             json_escape(ev.cat) + "\",\"ph\":\"i\",\"s\":\"t\"," + common +
-             "}";
-      break;
+      return Json::object({{"name", ev.name},
+                           {"cat", ev.cat},
+                           {"ph", "i"},
+                           {"s", "t"},
+                           {"pid", 0},
+                           {"tid", rank},
+                           {"ts", trace_us(ev.begin_s)}});
     case TraceEvent::Kind::kCounter:
-      out += "{\"name\":\"" + json_escape(ev.name) + "\",\"ph\":\"C\"," +
-             common + ",\"args\":{\"value\":" + json_number(ev.value) + "}}";
-      break;
+      return Json::object({{"name", ev.name},
+                           {"ph", "C"},
+                           {"pid", 0},
+                           {"tid", rank},
+                           {"ts", trace_us(ev.begin_s)},
+                           {"args", Json::object({{"value", ev.value}})}});
   }
+  return Json();
 }
 
 }  // namespace
 
 std::string Tracer::chrome_json(
     const std::vector<std::pair<int, TraceEvent>>* extra) const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
+  // Events are built, dumped and dropped one at a time, so export memory
+  // stays proportional to the output text rather than to a whole tree.
+  std::string out = R"({"traceEvents":[)";
+  const auto emit = [&out](const Json& ev) {
+    if (out.back() != '[') out += ",\n";
+    ev.dump_to(out);
+  };
   for (int r = 0; r < nranks(); ++r) {
     // Name the track so Perfetto shows "rank N" instead of a bare tid.
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-           std::to_string(r) + ",\"args\":{\"name\":\"rank " +
-           std::to_string(r) + "\"}}";
+    emit(Json::object(
+        {{"name", "thread_name"},
+         {"ph", "M"},
+         {"pid", 0},
+         {"tid", r},
+         {"args", Json::object({{"name", "rank " + std::to_string(r)}})}}));
     for (const auto& ev : tracks_[static_cast<std::size_t>(r)].events) {
-      out += ",\n";
-      append_event_json(out, ev, r);
+      emit(event_json(ev, r));
     }
     if (extra) {
       for (const auto& [rank, ev] : *extra) {
-        if (rank != r) continue;
-        out += ",\n";
-        append_event_json(out, ev, r);
+        if (rank == r) emit(event_json(ev, r));
       }
     }
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
+  out += R"(],"displayTimeUnit":"ms"})";
   return out;
 }
 
 void Tracer::write_chrome_json(
     const std::string& path,
     const std::vector<std::pair<int, TraceEvent>>* extra) const {
-  // pdc: io-wrapper(observer export after the modeled run; never on the modeled timeline)
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("Tracer: cannot create " + path);
-  const std::string doc = chrome_json(extra);
-  if (std::fwrite(doc.data(), 1, doc.size(), f.get()) != doc.size()) {
-    throw std::runtime_error("Tracer: short write to " + path);
-  }
+  write_file(path, chrome_json(extra));
 }
 
 }  // namespace pdc::obs

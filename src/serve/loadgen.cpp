@@ -28,11 +28,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-obs::Json num(double v) { return obs::Json::make_number(v); }
-obs::Json unum(std::uint64_t v) {
-  return obs::Json::make_number(static_cast<double>(v));
-}
-
 }  // namespace
 
 ServeReport run_loadgen(Server& server, const CompiledTree& model,
@@ -108,69 +103,56 @@ ServeReport run_loadgen(Server& server, const CompiledTree& model,
 }
 
 std::string ServeReport::to_json() const {
-  obs::Json doc = obs::Json::make_object();
-  doc.set("schema", obs::Json::make_string("pdc.serve_report.v1"));
-
-  obs::Json jcfg = obs::Json::make_object();
-  jcfg.set("replicas", num(replicas));
-  jcfg.set("batch_records", unum(config.batch_records));
-  jcfg.set("requests", unum(config.requests));
-  jcfg.set("window", unum(config.window));
-  jcfg.set("seed", unum(config.seed));
-  jcfg.set("function", num(config.function));
-  jcfg.set("swap_every", unum(config.swap_every));
-  doc.set("config", std::move(jcfg));
-
-  obs::Json jmodel = obs::Json::make_object();
-  jmodel.set("nodes", unum(model_nodes));
-  jmodel.set("depth", num(model_depth));
-  jmodel.set("leaves", unum(model_leaves));
-  doc.set("model", std::move(jmodel));
-
-  obs::Json jtot = obs::Json::make_object();
-  jtot.set("requests", unum(total_requests));
-  jtot.set("records", unum(total_records));
-  jtot.set("wall_s", num(wall_s));
-  jtot.set("records_per_s", num(records_per_s));
-  jtot.set("swaps", unum(swaps));
-  jtot.set("queue_highwater", unum(queue_highwater));
-  doc.set("totals", std::move(jtot));
-
-  obs::Json jlat = obs::Json::make_object();
-  jlat.set("count", unum(latency_us.count));
-  jlat.set("mean_us", num(latency_us.mean()));
-  jlat.set("min_us", num(latency_us.count ? latency_us.min : 0.0));
-  jlat.set("max_us", num(latency_us.count ? latency_us.max : 0.0));
-  jlat.set("p50_us", num(p50_us));
-  jlat.set("p90_us", num(p90_us));
-  jlat.set("p99_us", num(p99_us));
-  obs::Json jbuckets = obs::Json::make_array();
+  using obs::Json;
+  Json jbuckets = Json::array();
   for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
-    obs::Json jb = obs::Json::make_object();
     // The final bucket is unbounded; -1 marks "no upper edge".
     const double le =
         b + 1 < kLatencyBuckets ? std::ldexp(1.0, static_cast<int>(b)) : -1.0;
-    jb.set("le_us", num(le));
-    jb.set("count", unum(latency_log2_us[b]));
-    jbuckets.push_back(std::move(jb));
+    jbuckets.push_back(
+        Json::object({{"le_us", le}, {"count", latency_log2_us[b]}}));
   }
-  jlat.set("buckets", std::move(jbuckets));
-  doc.set("latency_us", std::move(jlat));
-
-  obs::Json jreps = obs::Json::make_array();
+  Json jreps = Json::array();
   for (const ReplicaStats& rs : replica_stats) {
-    obs::Json jr = obs::Json::make_object();
-    jr.set("replica", num(rs.replica));
-    jr.set("batches", unum(rs.batches));
-    jr.set("records", unum(rs.records));
-    jr.set("min_version", unum(rs.min_version));
-    jr.set("max_version", unum(rs.max_version));
-    jr.set("swaps_observed", unum(rs.swaps_observed));
-    jr.set("version_monotonic", obs::Json::make_bool(rs.version_monotonic));
-    jreps.push_back(std::move(jr));
+    jreps.push_back(
+        Json::object({{"replica", rs.replica},
+                      {"batches", rs.batches},
+                      {"records", rs.records},
+                      {"min_version", rs.min_version},
+                      {"max_version", rs.max_version},
+                      {"swaps_observed", rs.swaps_observed},
+                      {"version_monotonic", rs.version_monotonic}}));
   }
-  doc.set("replicas", std::move(jreps));
-  return doc.dump();
+  return Json::object(
+             {{"schema", "pdc.serve_report.v1"},
+              {"config", Json::object({{"replicas", replicas},
+                                       {"batch_records", config.batch_records},
+                                       {"requests", config.requests},
+                                       {"window", config.window},
+                                       {"seed", config.seed},
+                                       {"function", config.function},
+                                       {"swap_every", config.swap_every}})},
+              {"model", Json::object({{"nodes", model_nodes},
+                                      {"depth", model_depth},
+                                      {"leaves", model_leaves}})},
+              {"totals", Json::object({{"requests", total_requests},
+                                       {"records", total_records},
+                                       {"wall_s", wall_s},
+                                       {"records_per_s", records_per_s},
+                                       {"swaps", swaps},
+                                       {"queue_highwater", queue_highwater}})},
+              {"latency_us",
+               Json::object(
+                   {{"count", latency_us.count},
+                    {"mean_us", latency_us.mean()},
+                    {"min_us", latency_us.count ? latency_us.min : 0.0},
+                    {"max_us", latency_us.count ? latency_us.max : 0.0},
+                    {"p50_us", p50_us},
+                    {"p90_us", p90_us},
+                    {"p99_us", p99_us},
+                    {"buckets", std::move(jbuckets)}})},
+              {"replicas", std::move(jreps)}})
+      .dump();
 }
 
 }  // namespace pdc::serve

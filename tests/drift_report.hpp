@@ -23,8 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,15 +66,12 @@ struct Distribution {
   }
 
   obs::Json to_json() const {
-    auto j = obs::Json::make_object();
-    j.set("count",
-          obs::Json::make_number(static_cast<double>(samples.size())));
-    j.set("mean", obs::Json::make_number(mean()));
-    j.set("min", obs::Json::make_number(min()));
-    j.set("max", obs::Json::make_number(max()));
-    j.set("p50", obs::Json::make_number(quantile(0.5)));
-    j.set("p90", obs::Json::make_number(quantile(0.9)));
-    return j;
+    return obs::Json::object({{"count", samples.size()},
+                              {"mean", mean()},
+                              {"min", min()},
+                              {"max", max()},
+                              {"p50", quantile(0.5)},
+                              {"p90", quantile(0.9)}});
   }
 };
 
@@ -152,58 +147,39 @@ struct DriftReport {
   }
 
   obs::Json to_json() const {
-    auto root = obs::Json::make_object();
-    root.set("schema", obs::Json::make_string("pdc.drift.v1"));
-
-    auto thresholds = obs::Json::make_object();
-    thresholds.set("max_mean_accuracy_delta",
-                   obs::Json::make_number(max_mean_accuracy_delta));
-    thresholds.set("min_agreement_rate_k2",
-                   obs::Json::make_number(min_agreement_rate_k2));
-    root.set("thresholds", std::move(thresholds));
-
-    auto node = obs::Json::make_object();
-    auto cells = obs::Json::make_array();
+    using obs::Json;
+    Json cells = Json::array();
     for (const auto& c : node_cells) {
-      auto cell = obs::Json::make_object();
-      cell.set("p", obs::Json::make_number(c.p));
-      cell.set("vote_k", obs::Json::make_number(c.vote_k));
-      cell.set("trials", obs::Json::make_number(c.trials));
-      cell.set("agreement_rate", obs::Json::make_number(c.agreement_rate()));
-      cell.set("gini_delta", c.gini_delta.to_json());
-      cells.push_back(std::move(cell));
+      cells.push_back(Json::object({{"p", c.p},
+                                    {"vote_k", c.vote_k},
+                                    {"trials", c.trials},
+                                    {"agreement_rate", c.agreement_rate()},
+                                    {"gini_delta", c.gini_delta.to_json()}}));
     }
-    node.set("cells", std::move(cells));
-    node.set("agreement_rate_k2", obs::Json::make_number(agreement_rate_k2()));
-    root.set("node", std::move(node));
-
-    auto tree = obs::Json::make_object();
-    auto runs = obs::Json::make_array();
+    Json runs = Json::array();
     for (const auto& r : tree_runs) {
-      auto run = obs::Json::make_object();
-      run.set("function", obs::Json::make_number(r.function));
-      run.set("p", obs::Json::make_number(r.p));
-      run.set("vote_k", obs::Json::make_number(r.vote_k));
-      run.set("acc_exact", obs::Json::make_number(r.acc_exact));
-      run.set("acc_voting", obs::Json::make_number(r.acc_voting));
-      run.set("delta", obs::Json::make_number(r.delta()));
-      runs.push_back(std::move(run));
+      runs.push_back(Json::object({{"function", r.function},
+                                   {"p", r.p},
+                                   {"vote_k", r.vote_k},
+                                   {"acc_exact", r.acc_exact},
+                                   {"acc_voting", r.acc_voting},
+                                   {"delta", r.delta()}}));
     }
-    tree.set("runs", std::move(runs));
-    tree.set("mean_abs_delta", obs::Json::make_number(tree_mean_abs_delta()));
-    tree.set("max_abs_delta", obs::Json::make_number(tree_max_abs_delta()));
-    root.set("tree", std::move(tree));
-
-    root.set("pass", obs::Json::make_bool(pass()));
-    return root;
+    return Json::object(
+        {{"schema", "pdc.drift.v1"},
+         {"thresholds",
+          Json::object({{"max_mean_accuracy_delta", max_mean_accuracy_delta},
+                        {"min_agreement_rate_k2", min_agreement_rate_k2}})},
+         {"node", Json::object({{"cells", std::move(cells)},
+                                {"agreement_rate_k2", agreement_rate_k2()}})},
+         {"tree", Json::object({{"runs", std::move(runs)},
+                                {"mean_abs_delta", tree_mean_abs_delta()},
+                                {"max_abs_delta", tree_max_abs_delta()}})},
+         {"pass", pass()}});
   }
 
   void write_json(const std::string& path) const {
-    std::ofstream out(path, std::ios::binary);
-    out << to_json().dump();
-    if (!out.good()) {
-      throw std::runtime_error("drift: cannot write " + path);
-    }
+    obs::write_file(path, to_json().dump());
   }
 };
 

@@ -6,10 +6,11 @@
 // values: a document is reduced to a canonical shape string (object keys in
 // document order mapped to their value shapes; arrays collapsed to the
 // deduplicated set of element shapes; the dynamic-key maps "counters",
-// "gauges", "histograms" and "args" collapsed to the shapes of their
-// values).  Renaming, adding or dropping a field breaks the test; numeric
-// drift never does.  Regenerate with PDC_UPDATE_GOLDEN=1 after a deliberate
-// schema change and commit the diff.
+// "gauges", "histograms", "args", "by_phase" and "by_depth" collapsed to
+// the shapes of their values), and each golden stores that string, one
+// field per line.  Renaming, adding or dropping a field breaks the test;
+// numeric drift never does.  Regenerate with PDC_UPDATE_GOLDEN=1 after a
+// deliberate schema change and commit the diff.
 
 #include <gtest/gtest.h>
 
@@ -173,19 +174,24 @@ Artifacts* GoldenSchema::artifacts_ = nullptr;
 void check_against_golden(const std::string& actual_json,
                           const char* golden_name) {
   const fs::path golden_path = fs::path(PDC_GOLDEN_DIR) / golden_name;
+  const std::string actual_shape = shape_of(obs::Json::parse(actual_json));
   if (std::getenv("PDC_UPDATE_GOLDEN") != nullptr) {
+    std::string text;
+    for (const char c : actual_shape) {
+      text += c;
+      if (c == ',' || c == ';') text += '\n';
+    }
     fs::create_directories(golden_path.parent_path());
     std::ofstream out(golden_path, std::ios::binary);
-    out << actual_json;
+    out << text << '\n';
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
     return;
   }
-  const std::string golden_text = read_text(golden_path);
-  ASSERT_FALSE(golden_text.empty())
+  std::string golden_shape = read_text(golden_path);
+  ASSERT_FALSE(golden_shape.empty())
       << "missing golden " << golden_path
       << " (regenerate with PDC_UPDATE_GOLDEN=1)";
-  const auto golden_shape = shape_of(obs::Json::parse(golden_text));
-  const auto actual_shape = shape_of(obs::Json::parse(actual_json));
+  std::erase(golden_shape, '\n');
   EXPECT_EQ(actual_shape, golden_shape)
       << "schema drift vs " << golden_name
       << " — if intended, regenerate with PDC_UPDATE_GOLDEN=1 and commit";
@@ -231,7 +237,7 @@ TEST(GoldenSchema2, AnalyzerReportKeyStructureMatchesGolden) {
       fs::temp_directory_path() / "pdc_analysis_schema.json";
   const std::string cmd =
       "python3 " + (root / "scripts" / "pdc_analyze.py").string() +
-      " --no-cache --mode ast-lite --json " + out.string() + " " +
+      " --no-cache --json " + out.string() + " " +
       (root / "tests" / "analyzer_fixtures").string() +
       " > /dev/null 2>&1";
   // Exit 1 is expected: the fixtures exist to trigger findings.

@@ -136,6 +136,37 @@ TEST(Trace, ChromeJsonIsWellFormedWithOneTrackPerRank) {
   EXPECT_TRUE(found);
 }
 
+// Split communicators get hashed 64-bit ids; the trace must carry them
+// exactly (a double would round every id above 2^53).
+TEST(Trace, ChromeJsonCarriesSplitCommIdsExactly) {
+  constexpr int kProcs = 4;
+  Tracer tracer(kProcs);
+  mp::Runtime rt(kProcs);
+  std::vector<std::uint64_t> sub_ids(kProcs);
+  rt.run(
+      [&](mp::Comm& world) {
+        mp::Comm sub = world.split(world.rank() % 2);
+        sub_ids[static_cast<std::size_t>(world.rank())] = sub.comm_id();
+        sub.barrier();
+      },
+      &tracer);
+
+  const Json parsed = Json::parse(tracer.chrome_json());
+  std::vector<int> seen(kProcs, 0);
+  for (const auto& ev : parsed.at("traceEvents").items()) {
+    const Json* args = ev.find("args");
+    const Json* comm = args ? args->find("comm") : nullptr;
+    if (!comm || comm->as_uint() == mp::kWorldCommId) continue;
+    const auto tid = static_cast<std::size_t>(ev.at("tid").as_int());
+    EXPECT_EQ(comm->as_uint(), sub_ids[tid]);
+    ++seen[tid];
+  }
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_GT(seen[static_cast<std::size_t>(r)], 0) << "rank " << r;
+    EXPECT_GT(sub_ids[static_cast<std::size_t>(r)], std::uint64_t{1} << 53);
+  }
+}
+
 // ---------------------------------------------------------------- json ---
 
 TEST(Json, ParsesScalarsObjectsArraysAndEscapes) {
@@ -150,6 +181,21 @@ TEST(Json, ParsesScalarsObjectsArraysAndEscapes) {
   EXPECT_EQ(j.at("null").type(), Json::Type::kNull);
   EXPECT_FALSE(j.at("f").as_bool());
   EXPECT_EQ(j.find("missing"), nullptr);
+}
+
+TEST(Json, IntegersStayExactThroughDumpAndParse) {
+  for (const std::uint64_t v :
+       {(std::uint64_t{1} << 53) + 1, mp::kWorldCommId}) {
+    const Json j = Json::object({{"v", v}});
+    const Json back = Json::parse(j.dump());
+    EXPECT_EQ(back.at("v").as_uint(), v);
+    EXPECT_EQ(back.dump(), j.dump());
+  }
+  const Json neg = Json::parse(Json(std::int64_t{-9007199254740993}).dump());
+  EXPECT_EQ(neg.as_int(), std::int64_t{-9007199254740993});
+  // Fractions and exponents stay doubles, printed with %.17g.
+  EXPECT_EQ(Json::parse("2.5").dump(), "2.5");
+  EXPECT_THROW(Json::parse("2.5").as_uint(), std::runtime_error);
 }
 
 TEST(Json, RejectsMalformedDocuments) {
@@ -184,6 +230,9 @@ TEST(Report, RoundTripsThroughJson) {
   report.tree.depth = 7;
   report.accuracy = 0.9375;
   report.metrics.counter("clouds.gini_evals").add(1234);
+  // Above 2^53 a double cannot hold every integer; counters stay exact.
+  constexpr std::uint64_t kBig = (std::uint64_t{1} << 53) + 1;
+  report.metrics.counter("io.bytes").add(kBig);
   report.metrics.gauge("dc.queue_peak").set(5.0);
   report.metrics.histogram("dc.combiner_message_bytes").observe(4096.0);
   report.metrics.histogram("dc.combiner_message_bytes").observe(512.0);
@@ -201,6 +250,7 @@ TEST(Report, RoundTripsThroughJson) {
   EXPECT_EQ(back.tree.depth, 7);
   EXPECT_DOUBLE_EQ(back.accuracy, 0.9375);
   EXPECT_EQ(back.metrics.counters().at("clouds.gini_evals").value, 1234u);
+  EXPECT_EQ(back.metrics.counters().at("io.bytes").value, kBig);
   EXPECT_DOUBLE_EQ(back.metrics.gauges().at("dc.queue_peak").value, 5.0);
   const auto& h = back.metrics.histograms().at("dc.combiner_message_bytes");
   EXPECT_EQ(h.count, 2u);
