@@ -19,7 +19,6 @@
 // Wall time, not the modeled clock: serving sits outside the SPMD cost
 // model; the claim here is a real machine-throughput ratio.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -30,6 +29,7 @@
 #include "data/agrawal.hpp"
 #include "harness.hpp"
 #include "obs/json.hpp"
+#include "obs/wall_clock.hpp"
 #include "serve/compiled_tree.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/record_block.hpp"
@@ -42,14 +42,9 @@ using pdc::clouds::CloudsConfig;
 using pdc::clouds::DecisionTree;
 using pdc::data::AgrawalGenerator;
 using pdc::data::Record;
+using pdc::obs::wall_seconds;
 using pdc::serve::CompiledTree;
 using pdc::serve::RecordBlock;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 unsigned hw_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -63,9 +58,9 @@ double best_rps(int reps, std::uint64_t records, Body&& body,
                 std::uint64_t* sink) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    const double t0 = now_s();
+    const double t0 = wall_seconds();
     *sink += body();
-    const double dt = now_s() - t0;
+    const double dt = wall_seconds() - t0;
     if (dt > 0.0) {
       best = std::max(best, static_cast<double>(records) / dt);
     }

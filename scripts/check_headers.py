@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     roots = args.paths or [os.path.join(REPO_ROOT, "src")]
-    headers = find_headers(roots)
+    headers = [os.path.abspath(h) for h in find_headers(roots)]
     if not headers:
         print(f"check_headers: no headers under {roots}", file=sys.stderr)
         return 2

@@ -18,6 +18,24 @@
 
 namespace pdc::clouds {
 
+/// Branchless std::lower_bound over ascending `first[0, n)`: the index of the
+/// first element not less than `v`, or n.  Every probe is the same `<` that
+/// std::lower_bound applies, so the result is identical for every float
+/// (NaN compares false everywhere and lands at 0, as it does there); the
+/// halving loop has a fixed trip count per n and compiles to a conditional
+/// move instead of a data-dependent branch.
+inline std::size_t lower_bound_index(const float* first, std::size_t n,
+                                     float v) {
+  if (n == 0) return 0;
+  std::size_t lo = 0;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    lo = (first[lo + half - 1] < v) ? lo + half : lo;
+    n -= half;
+  }
+  return lo + (first[lo] < v ? 1 : 0);
+}
+
 /// Equi-depth interior boundaries from sample values: at most q-1 ascending
 /// distinct cut points; interval j covers (b[j-1], b[j]] with b[-1] = -inf
 /// and b[q-1] = +inf.  Fewer boundaries are returned when the sample has
@@ -54,10 +72,9 @@ struct IntervalHist {
   std::size_t interval_count() const { return bounds.size() + 1; }
 
   /// Index of the interval containing `v`: first j with v <= bounds[j],
-  /// else the last interval.
+  /// else the last interval (NaN lands in interval 0).
   std::size_t interval_of(float v) const {
-    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-    return static_cast<std::size_t>(it - bounds.begin());
+    return lower_bound_index(bounds.data(), bounds.size(), v);
   }
 
   void add(float v, std::int8_t label) {

@@ -16,15 +16,6 @@ NodeStats NodeStats::with_boundaries(std::span<const data::Record> sample,
   return stats;
 }
 
-void NodeStats::add(const data::Record& r) {
-  for (int a = 0; a < data::kNumNumeric; ++a) {
-    hists[static_cast<std::size_t>(a)].add(r.num[static_cast<std::size_t>(a)],
-                                           r.label);
-  }
-  for (auto& m : cats) m.add(r);
-  ++counts[static_cast<std::size_t>(r.label)];
-}
-
 void collect_stats(RecordSource& source, NodeStats& stats,
                    const CostHooks& hooks) {
   auto sp = hooks.span("histogram-build", "clouds");
@@ -173,17 +164,18 @@ SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
     // Second pass: harvest the points that fall inside alive intervals.
     obs::MemCharge harvest_mem(hooks.mem, 0);
     std::vector<std::vector<AlivePoint>> buckets(alive.size());
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      buckets[k].reserve(
+          static_cast<std::size_t>(data::total(alive[k].inside)));
+    }
+    const AliveIndex index(alive);
     source.scan([&](const data::Record& r) {
-      for (std::size_t k = 0; k < alive.size(); ++k) {
-        const float v =
-            r.num[static_cast<std::size_t>(alive[k].attr)];
-        if (alive[k].contains(v)) {
-          // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
-          buckets[k].push_back({v, r.label});
-          harvest_mem.add(sizeof(AlivePoint));
-          ++harvested;
-        }
-      }
+      index.for_each(r, [&](std::size_t k, float v) {
+        // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
+        buckets[k].push_back({v, r.label});
+        harvest_mem.add(sizeof(AlivePoint));
+        ++harvested;
+      });
       hooks.charge_scan(alive.size());
     });
 

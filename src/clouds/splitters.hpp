@@ -10,6 +10,7 @@
 // points of alive intervals.
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -35,7 +36,16 @@ struct NodeStats {
   static NodeStats with_boundaries(std::span<const data::Record> sample,
                                    int q);
 
-  void add(const data::Record& r);
+  /// Adds one record to every histogram and count matrix.  Inline: it is
+  /// the per-record body of every statistics pass.
+  void add(const data::Record& r) {
+    for (int a = 0; a < data::kNumNumeric; ++a) {
+      hists[static_cast<std::size_t>(a)].add(
+          r.num[static_cast<std::size_t>(a)], r.label);
+    }
+    for (auto& m : cats) m.add(r);
+    ++counts[static_cast<std::size_t>(r.label)];
+  }
 };
 
 /// One pass over `source`, filling `stats` (whose boundaries must already be
@@ -70,6 +80,54 @@ struct AliveInterval {
     const bool below = unbounded_hi || v <= hi;
     return above && below;
   }
+};
+
+/// Per-record lookup of the alive intervals a record falls in.  The alive
+/// list must be sorted by (attr, interval) — find_alive_intervals and the
+/// parallel share step both produce it so — which makes one attribute's
+/// intervals disjoint with strictly ascending upper edges.  A record then
+/// hits at most one interval per attribute: the first whose upper edge is
+/// not below the value, confirmed with AliveInterval::contains.  Hits are
+/// visited in ascending alive index, the order a scan of the whole list
+/// would find them in.
+class AliveIndex {
+ public:
+  explicit AliveIndex(std::span<const AliveInterval> alive) : alive_(alive) {
+    hi_.reserve(alive.size());
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const auto& iv = alive[k];
+      if (attrs_.empty() || attrs_.back().attr != iv.attr) {
+        attrs_.push_back({iv.attr, k, k});
+      }
+      ++attrs_.back().end;
+      // The unbounded upper edge is +inf as a search key so that +inf
+      // itself finds the last interval (contains() ignores hi there).
+      hi_.push_back(iv.unbounded_hi ? std::numeric_limits<float>::infinity()
+                                    : iv.hi);
+    }
+  }
+
+  /// Calls f(k, v) for every alive interval k containing the record's value
+  /// v of that interval's attribute, in ascending k.
+  template <typename F>
+  void for_each(const data::Record& r, F&& f) const {
+    for (const auto& a : attrs_) {
+      const float v = r.num[static_cast<std::size_t>(a.attr)];
+      const std::size_t k = a.begin + lower_bound_index(hi_.data() + a.begin,
+                                                        a.end - a.begin, v);
+      if (k < a.end && alive_[k].contains(v)) f(k, v);
+    }
+  }
+
+ private:
+  struct AttrRange {
+    int attr;
+    std::size_t begin;  ///< first alive index of the attribute
+    std::size_t end;
+  };
+  std::span<const AliveInterval> alive_;
+  std::vector<AttrRange> attrs_;  ///< attributes with an alive interval
+  std::vector<float> hi_;         ///< upper-edge search keys, per alive index
 };
 
 /// Determine the alive intervals of every numeric attribute given the

@@ -46,24 +46,29 @@ AliveOutcome evaluate_alive_parallel(
   obs::MemCharge staged_mem(hooks.mem, 0);
   std::vector<std::vector<WirePoint>> outgoing(
       static_cast<std::size_t>(comm.size()));
+  const clouds::AliveIndex index(alive);
   scan([&](const data::Record& r) {
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const float v = r.num[static_cast<std::size_t>(alive[i].attr)];
-      if (alive[i].contains(v)) {
-        // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
-        outgoing[static_cast<std::size_t>(assign.owner[i])].push_back(
-            {v, static_cast<std::int32_t>(i), r.label});
-        staged_mem.add(sizeof(WirePoint));
-        ++out.points_shipped;
-      }
-    }
+    index.for_each(r, [&](std::size_t i, float v) {
+      // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
+      outgoing[static_cast<std::size_t>(assign.owner[i])].push_back(
+          {v, static_cast<std::int32_t>(i), r.label});
+      staged_mem.add(sizeof(WirePoint));
+      ++out.points_shipped;
+    });
     hooks.charge_scan(alive.size());
   });
 
   const auto incoming = comm.all_to_all<WirePoint>(outgoing);
 
-  // Bucket received points per owned interval and evaluate exactly.
+  // Bucket received points per owned interval (each sized at its global
+  // count) and evaluate exactly.
   std::vector<std::vector<clouds::AlivePoint>> buckets(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (assign.owner[i] == comm.rank()) {
+      buckets[i].reserve(
+          static_cast<std::size_t>(data::total(alive[i].inside)));
+    }
+  }
   for (const auto& from_rank : incoming) {
     for (const auto& wp : from_rank) {
       buckets[static_cast<std::size_t>(wp.interval)].push_back(

@@ -1,23 +1,17 @@
 #include "serve/loadgen.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <utility>
 
 #include "data/agrawal.hpp"
 #include "obs/json.hpp"
+#include "obs/wall_clock.hpp"
 
 namespace pdc::serve {
 
 namespace {
-
-double wall_seconds() {
-  using WallClock = std::chrono::steady_clock;  // pdc-lint: allow(PDC001) -- load-generator throughput is wall time, outside the modeled timeline
-  return std::chrono::duration<double>(WallClock::now().time_since_epoch())
-      .count();
-}
 
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -75,13 +69,13 @@ ServeReport run_loadgen(Server& server, const CompiledTree& model,
     pool.push_back(RecordBlock::from_records(records));
   }
 
-  const double begin_s = wall_seconds();
+  const double begin_s = obs::wall_seconds();
   for (std::size_t i = 0; i < cfg.requests; ++i) {
     outstanding.push_back(server.submit(pool[i % pool.size()]));
     while (outstanding.size() >= window) drain_one();
   }
   while (!outstanding.empty()) drain_one();
-  rep.wall_s = wall_seconds() - begin_s;
+  rep.wall_s = obs::wall_seconds() - begin_s;
 
   const ServerStats stats = server.stats();
   rep.total_requests = stats.requests;

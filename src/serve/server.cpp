@@ -1,23 +1,15 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/span_names.hpp"
+#include "obs/wall_clock.hpp"
 
 namespace pdc::serve {
 
 namespace {
-
-/// The one place serving reads the wall: latency of a real server is wall
-/// time by nature, and this layer sits outside the modeled SPMD timeline.
-double wall_seconds() {
-  using WallClock = std::chrono::steady_clock;  // pdc-lint: allow(PDC001) -- serving latency is wall time, outside the modeled timeline
-  return std::chrono::duration<double>(WallClock::now().time_since_epoch())
-      .count();
-}
 
 std::size_t latency_bucket(double us) {
   std::size_t b = 0;
@@ -67,7 +59,7 @@ Server::~Server() { shutdown(); }
 std::future<BatchResult> Server::submit(RecordBlock block) {
   Request req;
   req.block = std::move(block);
-  req.enqueue_wall_s = wall_seconds();
+  req.enqueue_wall_s = obs::wall_seconds();
   std::future<BatchResult> fut = req.promise.get_future();
   {
     LockGuard lk(queue_mu_);
@@ -154,14 +146,14 @@ void Server::worker_loop(int r) {
       m = rep.model;
     }
 
-    const double begin_s = wall_seconds();
+    const double begin_s = obs::wall_seconds();
     const double begin_modeled = clocks_[ri].total();
     BatchResult res;
     res.labels.resize(req.block.size());
     m->tree.predict_block(req.block, res.labels);
     res.model_version = m->version;
     res.replica = r;
-    const double end_s = wall_seconds();
+    const double end_s = obs::wall_seconds();
     res.latency_us = (end_s - req.enqueue_wall_s) * 1e6;
 
     // The replica's modeled clock advances by the measured service time,

@@ -20,8 +20,8 @@
 // was requested, so every accepted request gets a response before join.
 //
 // Time: serving latency is real wall time by nature (this layer sits
-// outside the modeled SPMD timeline), so it is measured once in
-// wall_seconds() and fed to the stats and, when a Tracer is attached, to
+// outside the modeled SPMD timeline), so it is measured with
+// obs::wall_seconds() and fed to the stats and, when a Tracer is attached, to
 // per-replica tracks whose modeled clocks advance by the measured service
 // time — the serve timeline renders in the same Chrome trace viewer as
 // training runs.

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <random>
 #include <vector>
 
@@ -97,18 +102,66 @@ TEST(Intervals, DegenerateSamples) {
 }
 
 TEST(Intervals, IntervalOfMatchesLinearScan) {
-  IntervalHist h;
-  h.bounds = {1.0f, 3.0f, 7.0f};
-  h.reset_counts();
-  ASSERT_EQ(h.interval_count(), 4u);
-  auto linear = [&](float v) -> std::size_t {
-    for (std::size_t j = 0; j < h.bounds.size(); ++j) {
-      if (v <= h.bounds[j]) return j;
+  // interval_of must return exactly std::lower_bound's index for every
+  // float, across bound counts that exercise each halving depth.  The
+  // linear reference is the first j with !(bounds[j] < v) — v <= bounds[j]
+  // for every non-NaN v, and 0 for NaN, as std::lower_bound gives.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kLowest = std::numeric_limits<float>::lowest();
+  constexpr float kMax = std::numeric_limits<float>::max();
+
+  std::vector<std::vector<float>> bound_sets;
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<float> u(-1000.0f, 1000.0f);
+  for (std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
+                        64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024,
+                        1025, 1100}) {
+    std::vector<float> b;
+    while (b.size() < n) b.push_back(u(rng));
+    std::sort(b.begin(), b.end());
+    b.erase(std::unique(b.begin(), b.end()), b.end());
+    while (b.size() < n) b.push_back(std::nextafter(b.back(), kInf));
+    bound_sets.push_back(b);
+  }
+  bound_sets.push_back({1.0f, 3.0f, 7.0f});
+  bound_sets.push_back({kLowest, -1.0f, -0.0f, 1.0f, kMax});
+  bound_sets.push_back({-kInf, 0.0f, kInf});
+  bound_sets.push_back({-0.0f});
+  bound_sets.push_back({0.0f});
+
+  const std::vector<float> specials = {
+      -kInf, kLowest, -1.0f, -0.0f, 0.0f,
+      std::numeric_limits<float>::denorm_min(), 1.0f, kMax, kInf, kNaN,
+      -kNaN};
+
+  for (const auto& bounds : bound_sets) {
+    IntervalHist h;
+    h.bounds = bounds;
+    h.reset_counts();
+    ASSERT_EQ(h.interval_count(), bounds.size() + 1);
+    auto linear = [&](float v) -> std::size_t {
+      for (std::size_t j = 0; j < h.bounds.size(); ++j) {
+        if (!(h.bounds[j] < v)) return j;
+      }
+      return h.bounds.size();
+    };
+    auto check = [&](float v) {
+      const auto want = static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      const auto got = h.interval_of(v);
+      EXPECT_EQ(got, want) << "v=" << v << " n=" << bounds.size();
+      EXPECT_EQ(got, linear(v)) << "v=" << v << " n=" << bounds.size();
+    };
+    for (float b : bounds) {
+      check(b);
+      check(std::nextafter(b, -kInf));
+      check(std::nextafter(b, kInf));
     }
-    return h.bounds.size();
-  };
-  for (float v : {-5.0f, 0.0f, 1.0f, 1.5f, 3.0f, 3.1f, 7.0f, 100.0f}) {
-    EXPECT_EQ(h.interval_of(v), linear(v)) << v;
+    for (float v : specials) check(v);
+    for (float v : {-5.0f, 0.0f, 1.0f, 1.5f, 3.0f, 3.1f, 7.0f, 100.0f}) {
+      check(v);
+    }
   }
 }
 
@@ -364,6 +417,131 @@ TEST(Splitters, SingleClassDataYieldsNoUsefulGain) {
   // A split may exist but cannot improve gini below 0 (already pure).
   if (best.valid) {
     EXPECT_DOUBLE_EQ(best.gini, 0.0);
+  }
+}
+
+/// One (alive index, value bits) hit; bits so that NaN compares equal.
+using Hit = std::pair<std::size_t, std::uint32_t>;
+
+/// The hits of `r`, found by testing every alive interval.
+std::vector<Hit> brute_force_hits(std::span<const AliveInterval> alive,
+                                  const Record& r) {
+  std::vector<Hit> hits;
+  for (std::size_t k = 0; k < alive.size(); ++k) {
+    const float v = r.num[static_cast<std::size_t>(alive[k].attr)];
+    if (alive[k].contains(v)) {
+      hits.emplace_back(k, std::bit_cast<std::uint32_t>(v));
+    }
+  }
+  return hits;
+}
+
+void expect_index_matches_brute_force(std::span<const AliveInterval> alive,
+                                      std::span<const Record> records) {
+  const AliveIndex index(alive);
+  for (const auto& r : records) {
+    std::vector<Hit> got;
+    index.for_each(r, [&](std::size_t k, float v) {
+      got.emplace_back(k, std::bit_cast<std::uint32_t>(v));
+    });
+    ASSERT_EQ(got, brute_force_hits(alive, r))
+        << "alive=" << alive.size() << " salary=" << r.num[0];
+  }
+}
+
+TEST(Splitters, AliveIndexMatchesContainsScanOnFoundIntervals) {
+  CostHooks hooks;
+  for (std::uint64_t seed : {21u, 22u, 23u}) {
+    for (int q : {2, 7, 33, 200}) {
+      const int function = 1 + static_cast<int>(seed % 7);
+      auto records = random_records(3000, function, seed);
+      std::vector<Record> sample;
+      for (std::size_t i = 0; i < records.size(); i += 7) {
+        sample.push_back(records[i]);
+      }
+      auto stats = NodeStats::with_boundaries(sample, q);
+      MemorySource src(records);
+      collect_stats(src, stats, hooks);
+      const auto best = ss_split(stats, hooks);
+      // Thresholds from "nothing alive" through the real SSE one to "every
+      // interval with two or more points alive".
+      const double sse_min = best.valid ? best.gini : 0.5;
+      const double inf = std::numeric_limits<double>::infinity();
+      for (double gini_min : {0.0, sse_min, 0.5, inf}) {
+        const auto alive = find_alive_intervals(stats, gini_min, hooks);
+        expect_index_matches_brute_force(alive, records);
+        expect_index_matches_brute_force(alive, sample);
+      }
+    }
+  }
+}
+
+/// A hand-built alive interval (lo, hi]; an unbounded side takes the
+/// encoding find_alive_intervals gives it.
+AliveInterval make_alive(int attr, std::size_t interval, float lo, float hi,
+                         bool unbounded_lo = false,
+                         bool unbounded_hi = false) {
+  AliveInterval iv;
+  iv.attr = attr;
+  iv.interval = interval;
+  iv.unbounded_lo = unbounded_lo;
+  iv.unbounded_hi = unbounded_hi;
+  iv.lo = unbounded_lo ? std::numeric_limits<float>::lowest() : lo;
+  iv.hi = unbounded_hi ? std::numeric_limits<float>::max() : hi;
+  return iv;
+}
+
+TEST(Splitters, AliveIndexMatchesContainsScanOnEdgeCases) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kLowest = std::numeric_limits<float>::lowest();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+  // Probe values: every edge used below, one ULP either side, specials.
+  std::vector<float> probes = {-kInf, kLowest, -0.0f, 0.0f, kMax, kInf, kNaN};
+  for (float e : {-3.0f, 0.0f, 1.0f, 3.0f, 7.0f, 9.0f}) {
+    probes.push_back(e);
+    probes.push_back(std::nextafter(e, -kInf));
+    probes.push_back(std::nextafter(e, kInf));
+  }
+  std::vector<Record> records;
+  for (float v : probes) {
+    Record r{};
+    r.num.fill(v);
+    records.push_back(r);
+  }
+  std::mt19937 rng(5);
+  for (int i = 0; i < 500; ++i) {
+    Record r{};
+    for (auto& v : r.num) v = probes[rng() % probes.size()];
+    records.push_back(r);
+  }
+
+  std::vector<std::vector<AliveInterval>> lists(5);
+  // lists[0] stays empty.  lists[1]: one attribute with a single, fully
+  // unbounded interval (it alone contains NaN).
+  lists[1].push_back(make_alive(2, 0, 0.0f, 0.0f, true, true));
+  // lists[2]: adjacent intervals sharing their edges, the first and last
+  // unbounded; attributes 0, 2, 4 and 5 have no alive interval.
+  lists[2].push_back(make_alive(1, 0, 0.0f, -3.0f, true, false));
+  lists[2].push_back(make_alive(1, 1, -3.0f, 0.0f));
+  lists[2].push_back(make_alive(1, 2, 0.0f, 1.0f));
+  lists[2].push_back(make_alive(1, 3, 1.0f, 0.0f, false, true));
+  lists[2].push_back(make_alive(3, 1, 1.0f, 3.0f));
+  // lists[3]: gaps between alive intervals, on several attributes.
+  lists[3].push_back(make_alive(0, 0, 0.0f, -3.0f, true, false));
+  lists[3].push_back(make_alive(0, 2, 0.0f, 1.0f));
+  lists[3].push_back(make_alive(0, 5, 7.0f, 9.0f));
+  lists[3].push_back(make_alive(3, 0, 0.0f, 1.0f, true, false));
+  lists[3].push_back(make_alive(3, 4, 9.0f, 0.0f, false, true));
+  lists[3].push_back(make_alive(5, 1, -0.0f, 3.0f));
+  lists[3].push_back(make_alive(5, 2, 3.0f, 7.0f));
+  // lists[4]: finite edges at the float extremes and at -0.0/+0.0.
+  lists[4].push_back(make_alive(4, 1, kLowest, -0.0f));
+  lists[4].push_back(make_alive(4, 2, 0.0f, kMax));
+  lists[4].push_back(make_alive(4, 3, kMax, 0.0f, false, true));
+  for (const auto& alive : lists) {
+    expect_index_matches_brute_force(alive, records);
   }
 }
 
