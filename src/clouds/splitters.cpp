@@ -1,7 +1,9 @@
 #include "clouds/splitters.hpp"
 
-#include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "clouds/estimate.hpp"
 #include "obs/mem_gauge.hpp"
@@ -112,15 +114,77 @@ double survival_ratio(std::span<const AliveInterval> alive,
   return inside / n;
 }
 
+namespace {
+
+bool single_key(std::span<const AlivePoint> points) {
+  const std::uint32_t k = alive_sort_key(points.front().value);
+  for (const auto& pt : points) {
+    if (alive_sort_key(pt.value) != k) return false;
+  }
+  return true;
+}
+
+void insertion_sort(std::span<AlivePoint> points) {
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    const AlivePoint pt = points[i];
+    const std::uint32_t k = alive_sort_key(pt.value);
+    std::size_t j = i;
+    for (; j > 0 && alive_sort_key(points[j - 1].value) > k; --j) {
+      points[j] = points[j - 1];
+    }
+    points[j] = pt;
+  }
+}
+
+void radix_sort(std::vector<AlivePoint>& points) {
+  constexpr int kDigits = 4;
+  const std::size_t n = points.size();
+  std::array<std::array<std::size_t, 256>, kDigits> counts{};
+  for (const auto& pt : points) {
+    const std::uint32_t k = alive_sort_key(pt.value);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(k >> (8 * d)) & 0xFFu];
+  }
+  std::vector<AlivePoint> scratch(n);
+  const std::uint32_t first = alive_sort_key(points.front().value);
+  bool in_scratch = false;
+  for (int d = 0; d < kDigits; ++d) {
+    const unsigned shift = 8u * static_cast<unsigned>(d);
+    auto& offsets = counts[d];
+    if (offsets[(first >> shift) & 0xFFu] == n) continue;  // constant digit
+    std::size_t sum = 0;
+    for (auto& c : offsets) sum += std::exchange(c, sum);
+    const auto& src = in_scratch ? scratch : points;
+    auto& dst = in_scratch ? points : scratch;
+    for (const auto& pt : src) {
+      dst[offsets[(alive_sort_key(pt.value) >> shift) & 0xFFu]++] = pt;
+    }
+    in_scratch = !in_scratch;
+  }
+  if (in_scratch) points.swap(scratch);
+}
+
+}  // namespace
+
+std::size_t sort_alive_points(std::vector<AlivePoint>& points) {
+  if (points.empty()) return 0;
+  if (!single_key(points)) {
+    if (points.size() < kAliveSortSmall) {
+      insertion_sort(points);
+    } else {
+      radix_sort(points);
+    }
+  }
+  std::size_t m = points.size();
+  while (m > 0 && std::isnan(points[m - 1].value)) --m;
+  return m;
+}
+
 SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
                                        std::vector<AlivePoint> points,
                                        const CostHooks& hooks) {
   SplitCandidate best;
   if (points.empty()) return best;
-  std::sort(points.begin(), points.end(),
-            [](const AlivePoint& a, const AlivePoint& b) {
-              return a.value < b.value;
-            });
+  const std::size_t m = sort_alive_points(points);
   hooks.charge_sort(points.size());
 
   const data::ClassCounts node_total = [&] {
@@ -132,7 +196,7 @@ SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
 
   data::ClassCounts left = iv.before;
   std::size_t i = 0;
-  while (i < points.size()) {
+  while (i < m) {
     const float v = points[i].value;
     while (i < points.size() && points[i].value == v) {
       ++left[static_cast<std::size_t>(points[i].label)];
@@ -211,26 +275,24 @@ SplitCandidate direct_split(std::span<const data::Record> records,
       column[i] = {records[i].num[static_cast<std::size_t>(a)],
                    records[i].label};
     }
-    std::sort(column.begin(), column.end(),
-              [](const AlivePoint& x, const AlivePoint& y) {
-                return x.value < y.value;
-              });
+    const std::size_t m = sort_alive_points(column);
     hooks.charge_sort(column.size());
 
     data::ClassCounts left{};
     std::size_t i = 0;
-    while (i < column.size()) {
+    while (i < m) {
       const float v = column[i].value;
       while (i < column.size() && column[i].value == v) {
         ++left[static_cast<std::size_t>(column[i].label)];
         ++i;
       }
-      if (i == column.size()) break;  // all records left: useless split
+      const auto right = total - left;
+      if (data::total(right) == 0) break;  // all records left: useless
       Split s;
       s.kind = Split::Kind::kNumeric;
       s.attr = static_cast<std::int8_t>(a);
       s.threshold = v;
-      best.consider(split_gini(left, total - left), s);
+      best.consider(split_gini(left, right), s);
     }
     hooks.charge_gini(column.size());
   }

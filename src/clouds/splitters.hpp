@@ -9,6 +9,8 @@
 // pass over the node's data; SSE makes one further pass to gather the
 // points of alive intervals.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -147,8 +149,32 @@ struct AlivePoint {
   std::int8_t label;
 };
 
+/// Order-preserving sort key of a point value: unsigned order of keys is
+/// the float order, refined so that -0 sorts just below +0 and every NaN
+/// (either sign, any payload) shares the largest key, above +inf.
+inline std::uint32_t alive_sort_key(float v) {
+  if (std::isnan(v)) return std::numeric_limits<std::uint32_t>::max();
+  const auto bits = std::bit_cast<std::uint32_t>(v);
+  // Negative values flip every bit (larger magnitude sorts lower); the
+  // rest flip only the sign bit so that they sort above all negatives.
+  const auto neg = static_cast<std::uint32_t>(
+      static_cast<std::int32_t>(bits) >> 31);
+  return bits ^ (neg | 0x80000000u);
+}
+
+/// Buckets below this size are insertion-sorted instead of radix-sorted.
+inline constexpr std::size_t kAliveSortSmall = 64;
+
+/// Sorts `points` stably by alive_sort_key: a single-valued bucket is left
+/// as it is, a small one is insertion-sorted, any other gets an LSD radix
+/// sort over the key bytes that vary.  Returns the number of non-NaN
+/// points, which form the sorted prefix (NaNs come last).
+std::size_t sort_alive_points(std::vector<AlivePoint>& points);
+
 /// Exact evaluation of one alive interval given its harvested points:
-/// sorts them and computes gini at every distinct value.
+/// sorts them and computes gini at every distinct value.  NaN points are
+/// never a threshold; they stay right of every split, as Split::goes_left
+/// sends them.
 SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
                                        std::vector<AlivePoint> points,
                                        const CostHooks& hooks);
@@ -169,7 +195,8 @@ SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
 
 /// Direct method: sort every numeric attribute and evaluate gini at every
 /// distinct point; categorical attributes from the count matrices.  Used
-/// in-memory for small nodes and as the quality reference.
+/// in-memory for small nodes and as the quality reference.  NaN values are
+/// handled as in evaluate_alive_interval.
 SplitCandidate direct_split(std::span<const data::Record> records,
                             const CostHooks& hooks);
 

@@ -42,42 +42,53 @@ AliveOutcome evaluate_alive_parallel(
   }
   const auto assign = dc::lpt_assign(costs, comm.size());
 
-  // Harvest pass: route each local in-interval point to the owner.
-  obs::MemCharge staged_mem(hooks.mem, 0);
+  // Harvest pass: points of intervals this rank owns go straight into
+  // their bucket (sized at the interval's global count); the rest are
+  // staged for their owner.  The self slot of the exchange stays empty,
+  // which the modeled cost ignores anyway.
+  const int me = comm.rank();
+  std::vector<std::vector<clouds::AlivePoint>> buckets(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (assign.owner[i] == me) {
+      buckets[i].reserve(
+          static_cast<std::size_t>(data::total(alive[i].inside)));
+    }
+  }
+  obs::MemCharge harvest_mem(hooks.mem, 0);
   std::vector<std::vector<WirePoint>> outgoing(
       static_cast<std::size_t>(comm.size()));
   const clouds::AliveIndex index(alive);
   scan([&](const data::Record& r) {
     index.for_each(r, [&](std::size_t i, float v) {
-      // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
-      outgoing[static_cast<std::size_t>(assign.owner[i])].push_back(
-          {v, static_cast<std::int32_t>(i), r.label});
-      staged_mem.add(sizeof(WirePoint));
+      const int owner = assign.owner[i];
+      if (owner == me) {
+        // pdc: incore(alive point harvest: survival-bounded, one bucket per owned interval, freed after evaluation)
+        buckets[i].push_back({v, r.label});
+        harvest_mem.add(sizeof(clouds::AlivePoint));
+      } else {
+        // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
+        outgoing[static_cast<std::size_t>(owner)].push_back(
+            {v, static_cast<std::int32_t>(i), r.label});
+        harvest_mem.add(sizeof(WirePoint));
+      }
       ++out.points_shipped;
     });
     hooks.charge_scan(alive.size());
   });
 
-  const auto incoming = comm.all_to_all<WirePoint>(outgoing);
-
-  // Bucket received points per owned interval (each sized at its global
-  // count) and evaluate exactly.
-  std::vector<std::vector<clouds::AlivePoint>> buckets(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (assign.owner[i] == comm.rank()) {
-      buckets[i].reserve(
-          static_cast<std::size_t>(data::total(alive[i].inside)));
-    }
-  }
-  for (const auto& from_rank : incoming) {
-    for (const auto& wp : from_rank) {
-      buckets[static_cast<std::size_t>(wp.interval)].push_back(
-          {wp.value, wp.label});
+  {
+    const auto incoming = comm.all_to_all<WirePoint>(outgoing);
+    outgoing = {};
+    for (const auto& from_rank : incoming) {
+      for (const auto& wp : from_rank) {
+        buckets[static_cast<std::size_t>(wp.interval)].push_back(
+            {wp.value, wp.label});
+      }
     }
   }
   clouds::SplitCandidate local_best;
   for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (assign.owner[i] != comm.rank()) continue;
+    if (assign.owner[i] != me) continue;
     local_best.consider(clouds::evaluate_alive_interval(
         alive[i], std::move(buckets[i]), hooks));
   }

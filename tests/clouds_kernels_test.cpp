@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -21,6 +22,9 @@
 #include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
+#include "mp/clock.hpp"
+#include "mp/runtime.hpp"
+#include "pclouds/alive.hpp"
 
 namespace pdc::clouds {
 namespace {
@@ -557,6 +561,363 @@ TEST(Splitters, CostHooksAdvanceClock) {
   const double after_collect = clock.snapshot().compute_s;
   (void)sse_split(stats, src, hooks);
   EXPECT_GT(clock.snapshot().compute_s, after_collect);
+}
+
+// ---- Alive-point sort kernel and exact interval evaluation ----
+
+using Points = std::vector<AlivePoint>;
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// Random points whose values are drawn from `pool`, labels from {0, 1}.
+Points draw_points(std::mt19937& rng, std::span<const float> pool,
+                   std::size_t n) {
+  Points pts(n);
+  for (auto& pt : pts) {
+    pt = {pool[rng() % pool.size()], static_cast<std::int8_t>(rng() % 2)};
+  }
+  return pts;
+}
+
+/// Random points whose value bits are `base` with the bits of `vary`
+/// randomized: keeps whole key bytes constant to exercise digit skipping.
+Points draw_bit_points(std::mt19937& rng, std::uint32_t base,
+                       std::uint32_t vary, std::size_t n) {
+  Points pts(n);
+  for (auto& pt : pts) {
+    float v = std::bit_cast<float>((base & ~vary) |
+                                   (static_cast<std::uint32_t>(rng()) & vary));
+    if (std::isnan(v)) v = 1.0f;
+    pt = {v, static_cast<std::int8_t>(rng() % 2)};
+  }
+  return pts;
+}
+
+/// Sorts with the kernel and checks it against std::sort's value order and
+/// against std::stable_sort by key (which pins stability, -0 before +0).
+void expect_sort_matches_reference(const Points& input) {
+  Points got = input;
+  const std::size_t m = sort_alive_points(got);
+  ASSERT_EQ(got.size(), input.size());
+  EXPECT_EQ(m, input.size());
+
+  Points by_value = input;
+  std::sort(by_value.begin(), by_value.end(),
+            [](const AlivePoint& a, const AlivePoint& b) {
+              return a.value < b.value;
+            });
+  Points stable = input;
+  std::stable_sort(stable.begin(), stable.end(),
+                   [](const AlivePoint& a, const AlivePoint& b) {
+                     return alive_sort_key(a.value) < alive_sort_key(b.value);
+                   });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].value, by_value[i].value) << "n=" << got.size()
+                                               << " i=" << i;
+    ASSERT_EQ(bits(got[i].value), bits(stable[i].value)) << "i=" << i;
+    ASSERT_EQ(got[i].label, stable[i].label) << "unstable at i=" << i;
+  }
+}
+
+TEST(AliveSort, KeyIsTheFloatOrderWithSignedZeroAndNanLast) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> ascending = {
+      -kInf, std::numeric_limits<float>::lowest(), -1.5f, -1.0f,
+      -std::numeric_limits<float>::min(), -kDenorm, -0.0f, 0.0f, kDenorm,
+      std::numeric_limits<float>::min(), 1.0f, 1.5f,
+      std::numeric_limits<float>::max(), kInf};
+  for (std::size_t i = 1; i < ascending.size(); ++i) {
+    EXPECT_LT(alive_sort_key(ascending[i - 1]), alive_sort_key(ascending[i]))
+        << ascending[i - 1] << " vs " << ascending[i];
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(alive_sort_key(nan), alive_sort_key(-nan));
+  EXPECT_GT(alive_sort_key(-nan), alive_sort_key(kInf));
+}
+
+TEST(AliveSort, MatchesStdSortOnRandomMultisets) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {
+      -kInf, kInf, -0.0f, 0.0f, kDenorm, -kDenorm, 3 * kDenorm,
+      std::numeric_limits<float>::lowest(), std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::min(), -1.0f, 1.0f, 20000.0f, 150000.0f};
+  std::mt19937 rng(42);
+  std::vector<std::size_t> sizes = {0, 1, 2, 3, 17, 200, 1000, 5000};
+  for (std::size_t d = kAliveSortSmall - 2; d <= kAliveSortSmall + 2; ++d) {
+    sizes.push_back(d);
+  }
+  for (std::size_t n : sizes) {
+    std::vector<float> wide(specials);
+    for (int i = 0; i < 40; ++i) {
+      wide.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+      if (std::isnan(wide.back())) wide.back() = 2.0f;
+    }
+    expect_sort_matches_reference(draw_points(rng, specials, n));
+    expect_sort_matches_reference(draw_points(rng, wide, n));
+    // Few distinct values: long runs of duplicates.
+    const std::vector<float> few = {-0.0f, 0.0f, 7.0f};
+    expect_sort_matches_reference(draw_points(rng, few, n));
+    // One value: the single-value check skips the sort.
+    const std::vector<float> one = {12.5f};
+    expect_sort_matches_reference(draw_points(rng, one, n));
+    // Constant key bytes: only the low byte, only the top byte, only the
+    // middle bytes, or a narrow band of one exponent vary.
+    expect_sort_matches_reference(draw_bit_points(rng, 0x47000000u, 0xFFu, n));
+    expect_sort_matches_reference(
+        draw_bit_points(rng, 0x00123456u, 0xFF000000u, n));
+    expect_sort_matches_reference(
+        draw_bit_points(rng, 0x45000000u, 0x00FFFF00u, n));
+    expect_sort_matches_reference(
+        draw_bit_points(rng, 0xC7000000u, 0x007FFFFFu, n));
+  }
+}
+
+TEST(AliveSort, NanPointsFormTheTailAndAreNotCounted) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::mt19937 rng(9);
+  const std::vector<float> pool = {nan, -nan, -2.0f, 0.0f, 3.0f, 4.0f};
+  for (std::size_t n : {std::size_t{1}, std::size_t{8}, kAliveSortSmall,
+                        std::size_t{500}}) {
+    Points pts = draw_points(rng, pool, n);
+    const auto nans = static_cast<std::size_t>(std::count_if(
+        pts.begin(), pts.end(),
+        [](const AlivePoint& pt) { return std::isnan(pt.value); }));
+    const std::size_t m = sort_alive_points(pts);
+    ASSERT_EQ(m, n - nans);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::isnan(pts[i].value), i >= m) << "i=" << i;
+      if (i > 0 && i < m) {
+        EXPECT_LE(pts[i - 1].value, pts[i].value);
+      }
+    }
+  }
+}
+
+/// Reference evaluation: the same group loop after a comparison std::sort.
+SplitCandidate reference_evaluate(const AliveInterval& iv, Points points,
+                                  const CostHooks& hooks) {
+  SplitCandidate best;
+  if (points.empty()) return best;
+  std::sort(points.begin(), points.end(),
+            [](const AlivePoint& a, const AlivePoint& b) {
+              return a.value < b.value;
+            });
+  hooks.charge_sort(points.size());
+  data::ClassCounts node_total = iv.before;
+  node_total += iv.inside;
+  node_total += iv.after;
+  data::ClassCounts left = iv.before;
+  std::size_t i = 0;
+  while (i < points.size()) {
+    const float v = points[i].value;
+    while (i < points.size() && points[i].value == v) {
+      ++left[static_cast<std::size_t>(points[i].label)];
+      ++i;
+    }
+    const auto right = node_total - left;
+    if (data::total(right) == 0) break;
+    Split s;
+    s.kind = Split::Kind::kNumeric;
+    s.attr = static_cast<std::int8_t>(iv.attr);
+    s.threshold = v;
+    best.consider(split_gini(left, right), s);
+  }
+  hooks.charge_gini(points.size());
+  return best;
+}
+
+/// An alive interval holding exactly `points`, with random outside counts.
+AliveInterval interval_for(std::mt19937& rng, const Points& points) {
+  AliveInterval iv;
+  iv.attr = static_cast<int>(rng() % data::kNumNumeric);
+  for (const auto& pt : points) {
+    ++iv.inside[static_cast<std::size_t>(pt.label)];
+  }
+  for (std::size_t c = 0; c < iv.before.v.size(); ++c) {
+    iv.before[c] = draw(rng, 50);
+    iv.after[c] = rng() % 3 == 0 ? 0 : draw(rng, 50);
+  }
+  return iv;
+}
+
+void expect_same_candidate(const SplitCandidate& got,
+                           const SplitCandidate& want) {
+  ASSERT_EQ(got.valid, want.valid);
+  if (!want.valid) return;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gini),
+            std::bit_cast<std::uint64_t>(want.gini));
+  EXPECT_EQ(got.split, want.split);
+  EXPECT_EQ(bits(got.split.threshold), bits(want.split.threshold));
+}
+
+TEST(Splitters, EvaluateAliveIntervalMatchesStdSortReference) {
+  std::mt19937 rng(77);
+  for (int trial = 0; trial < 1200; ++trial) {
+    // Value pools from very coarse (one value) to nearly distinct; -0.0 is
+    // left out because std::sort's pick between equal +-0 is unspecified.
+    std::vector<float> pool;
+    const int distinct = 1 + static_cast<int>(draw(rng, trial % 2 ? 8 : 400));
+    for (int i = 0; i < distinct; ++i) {
+      pool.push_back(static_cast<float>(draw(rng, 2000)) * 0.25f - 100.0f);
+    }
+    pool.push_back(0.0f);
+    const std::size_t n = 1 + static_cast<std::size_t>(draw(rng, 300));
+    const Points pts = draw_points(rng, pool, n);
+    const AliveInterval iv = interval_for(rng, pts);
+
+    mp::Clock got_clock;
+    mp::Clock want_clock;
+    const auto got =
+        evaluate_alive_interval(iv, pts, CostHooks{&got_clock, mp::Machine{}});
+    const auto want =
+        reference_evaluate(iv, pts, CostHooks{&want_clock, mp::Machine{}});
+    expect_same_candidate(got, want);
+    EXPECT_EQ(got_clock.snapshot().compute_s, want_clock.snapshot().compute_s);
+  }
+}
+
+TEST(Splitters, SignedZeroThresholdIsPermutationInvariant) {
+  // The best split is at zero; its group holds both -0 and +0.
+  Points pts = {{-0.0f, 0}, {0.0f, 0}, {-0.0f, 0}, {0.0f, 0},
+                {-1.0f, 0}, {1.0f, 1}, {2.0f, 1}};
+  AliveInterval iv;
+  for (const auto& pt : pts) ++iv.inside[static_cast<std::size_t>(pt.label)];
+  std::vector<Record> records(pts.size());
+  std::vector<std::size_t> order(pts.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  CostHooks hooks;
+  int perms = 0;
+  do {
+    Points permuted;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      permuted.push_back(pts[order[i]]);
+      records[i] = Record{};
+      records[i].num[0] = pts[order[i]].value;
+      records[i].label = pts[order[i]].label;
+    }
+    const auto alive = evaluate_alive_interval(iv, permuted, hooks);
+    ASSERT_TRUE(alive.valid);
+    ASSERT_EQ(bits(alive.split.threshold), bits(-0.0f)) << "perm " << perms;
+    const auto direct = direct_split(records, hooks);
+    ASSERT_TRUE(direct.valid);
+    ASSERT_EQ(direct.split.attr, 0);
+    ASSERT_EQ(bits(direct.split.threshold), bits(-0.0f)) << "perm " << perms;
+    ++perms;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(perms, 5040);
+}
+
+/// Class counts of `records` on each side of `s`, as goes_left routes them.
+std::pair<ClassCounts, ClassCounts> routed_counts(std::span<const Record> rs,
+                                                  const Split& s) {
+  ClassCounts left{};
+  ClassCounts right{};
+  for (const auto& r : rs) {
+    ++(s.goes_left(r) ? left : right)[static_cast<std::size_t>(r.label)];
+  }
+  return {left, right};
+}
+
+TEST(Splitters, EvaluateAliveIntervalNeverSplitsAtNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Points pts = {{1.0f, 0}, {2.0f, 0}, {nan, 1}, {3.0f, 0},
+                      {4.0f, 1}, {5.0f, 1}, {-nan, 0}, {6.0f, 1}};
+  AliveInterval iv;
+  for (const auto& pt : pts) ++iv.inside[static_cast<std::size_t>(pt.label)];
+  CostHooks hooks;
+  const auto best = evaluate_alive_interval(iv, pts, hooks);
+  ASSERT_TRUE(best.valid);
+  EXPECT_FALSE(std::isnan(best.split.threshold));
+  EXPECT_EQ(best.split.threshold, 3.0f);
+  // NaN points count on the right, where goes_left sends them.
+  std::vector<Record> records(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    records[i].num[0] = pts[i].value;
+    records[i].label = pts[i].label;
+  }
+  const auto [left, right] = routed_counts(records, best.split);
+  EXPECT_EQ(best.gini, split_gini(left, right));
+
+  const Points all_nan = {{nan, 0}, {nan, 1}, {-nan, 1}};
+  AliveInterval nan_iv;
+  nan_iv.inside = {{1, 2}};
+  EXPECT_FALSE(evaluate_alive_interval(nan_iv, all_nan, hooks).valid);
+}
+
+TEST(Splitters, DirectSplitNeverSplitsAtNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto records = random_records(8, 1, 31);
+  const std::vector<float> values = {1.0f, 2.0f, nan, 3.0f,
+                                     4.0f, 5.0f, -nan, 6.0f};
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].num.fill(values[i]);
+  }
+  CostHooks hooks;
+  const auto best = direct_split(records, hooks);
+  ASSERT_TRUE(best.valid);
+  if (best.split.kind == Split::Kind::kNumeric) {
+    EXPECT_FALSE(std::isnan(best.split.threshold));
+  }
+  const auto [left, right] = routed_counts(records, best.split);
+  EXPECT_EQ(best.gini, split_gini(left, right));
+  EXPECT_GT(data::total(left), 0);
+  EXPECT_GT(data::total(right), 0);
+}
+
+TEST(Splitters, AliveParallelMatchesOneRankAtEveryP) {
+  auto records = random_records(6000, 2, 61);
+  std::vector<Record> sample;
+  for (std::size_t i = 0; i < records.size(); i += 10) {
+    sample.push_back(records[i]);
+  }
+  CostHooks hooks;
+  auto stats = NodeStats::with_boundaries(sample, 24);
+  MemorySource src(records);
+  collect_stats(src, stats, hooks);
+  const auto boundary = ss_split(stats, hooks);
+  const auto alive = find_alive_intervals(stats, boundary.gini, hooks);
+  ASSERT_FALSE(alive.empty());
+
+  struct Run {
+    SplitCandidate best;
+    double survival = 0.0;
+    std::uint64_t shipped = 0;
+  };
+  auto run_at = [&](int p) {
+    std::vector<Run> ranks(static_cast<std::size_t>(p));
+    mp::Runtime rt(p);
+    rt.run([&](mp::Comm& comm) {
+      pclouds::LocalScan scan =
+          [&](const std::function<void(const Record&)>& fn) {
+            for (std::size_t i = static_cast<std::size_t>(comm.rank());
+                 i < records.size(); i += static_cast<std::size_t>(p)) {
+              fn(records[i]);
+            }
+          };
+      const auto out = pclouds::evaluate_alive_parallel(
+          comm, alive, boundary, stats.counts, scan, {});
+      ranks[static_cast<std::size_t>(comm.rank())] = {out.best, out.survival,
+                                                      out.points_shipped};
+    });
+    Run total = ranks.front();
+    total.shipped = 0;
+    for (const auto& r : ranks) {
+      expect_same_candidate(r.best, total.best);
+      EXPECT_EQ(r.survival, total.survival);
+      total.shipped += r.shipped;
+    }
+    return total;
+  };
+  const Run one = run_at(1);
+  EXPECT_GT(one.shipped, 0u);
+  for (int p : {3, 8}) {
+    const Run got = run_at(p);
+    expect_same_candidate(got.best, one.best);
+    EXPECT_EQ(got.survival, one.survival);
+    EXPECT_EQ(got.shipped, one.shipped);
+  }
 }
 
 }  // namespace
