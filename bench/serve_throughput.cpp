@@ -51,19 +51,27 @@ unsigned hw_threads() {
   return hw == 0 ? 1 : hw;
 }
 
+/// The fastest of several timed repeats: its rate and its wall seconds.
+struct Best {
+  double records_per_s = 0.0;
+  double wall_s = 0.0;
+
+  void consider(double rps, double wall) {
+    if (rps > records_per_s) *this = {rps, wall};
+  }
+};
+
 /// Best-of-`reps` records/s for `body(records)`; the sink defeats
 /// dead-code elimination of the prediction loops.
 template <typename Body>
-double best_rps(int reps, std::uint64_t records, Body&& body,
-                std::uint64_t* sink) {
-  double best = 0.0;
+Best best_rps(int reps, std::uint64_t records, Body&& body,
+              std::uint64_t* sink) {
+  Best best;
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = wall_seconds();
     *sink += body();
     const double dt = wall_seconds() - t0;
-    if (dt > 0.0) {
-      best = std::max(best, static_cast<double>(records) / dt);
-    }
+    if (dt > 0.0) best.consider(static_cast<double>(records) / dt, dt);
   }
   return best;
 }
@@ -97,23 +105,22 @@ int main() {
               static_cast<unsigned long long>(n_serve),
               compiled.node_count(), compiled.depth(), hw_threads());
 
-  // One JSONL row per point; records_per_s is the measurement (wall_s is
-  // not measured here and stays 0).
+  // One JSONL row per point: the best repeat's rate and wall seconds.
   const auto emit_row = [&](const std::string& label, const char* mode,
-                            int threads, double records_per_s) {
+                            int threads, const Best& best) {
     pdc::bench::append_json_row(
         pdc::obs::Json::object({{"label", label},
                                 {"mode", mode},
                                 {"threads", threads},
                                 {"hw_threads", hw_threads()},
                                 {"records", n_serve},
-                                {"wall_s", 0.0},
-                                {"records_per_s", records_per_s}}));
+                                {"wall_s", best.wall_s},
+                                {"records_per_s", best.records_per_s}}));
   };
 
   std::uint64_t sink = 0;
 
-  const double rps_interp = best_rps(
+  const Best interp = best_rps(
       kReps, n_serve,
       [&] {
         std::uint64_t acc = 0;
@@ -123,10 +130,10 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/interp", "interpreted", 1, rps_interp);
-  std::printf("%-24s %12.0f records/s\n", "interpreted", rps_interp);
+  emit_row("serve/interp", "interpreted", 1, interp);
+  std::printf("%-24s %12.0f records/s\n", "interpreted", interp.records_per_s);
 
-  const double rps_single = best_rps(
+  const Best single = best_rps(
       kReps, n_serve,
       [&] {
         std::uint64_t acc = 0;
@@ -136,27 +143,29 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/compiled/single", "compiled-single", 1, rps_single);
+  emit_row("serve/compiled/single", "compiled-single", 1, single);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled single",
-              rps_single, rps_single / rps_interp);
+              single.records_per_s,
+              single.records_per_s / interp.records_per_s);
 
   std::vector<std::int8_t> out(block.size());
-  const double rps_batch = best_rps(
+  const Best batch = best_rps(
       kReps, n_serve,
       [&] {
         compiled.predict_block(block, out);
         return static_cast<std::uint64_t>(out[0]);
       },
       &sink);
-  emit_row("serve/compiled/batch", "compiled-batch", 1, rps_batch);
+  emit_row("serve/compiled/batch", "compiled-batch", 1, batch);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled batch",
-              rps_batch, rps_batch / rps_interp);
+              batch.records_per_s,
+              batch.records_per_s / interp.records_per_s);
 
   // Replica scaling through the real server + closed-loop load generator.
   std::printf("\n");
   double rps_r1 = 0.0;
   for (const int r : {1, 2, 4}) {
-    double best = 0.0;
+    Best best;
     for (int rep = 0; rep < kReps; ++rep) {
       pdc::serve::Server server(
           compiled, {.replicas = r,
@@ -168,12 +177,13 @@ int main() {
       cfg.seed = 505;
       const auto report = pdc::serve::run_loadgen(server, compiled, cfg);
       server.shutdown();
-      best = std::max(best, report.records_per_s);
+      best.consider(report.records_per_s, report.wall_s);
     }
-    if (r == 1) rps_r1 = best;
+    if (r == 1) rps_r1 = best.records_per_s;
     emit_row("serve/replicas/r=" + std::to_string(r), "served", r, best);
     std::printf("served, %d replica%-3s %12.0f records/s (%.2fx r=1)\n", r,
-                r == 1 ? ":" : "s:", best, best / rps_r1);
+                r == 1 ? ":" : "s:", best.records_per_s,
+                best.records_per_s / rps_r1);
   }
 
   std::printf("\n(sink %llu)\n", static_cast<unsigned long long>(sink));

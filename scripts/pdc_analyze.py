@@ -14,7 +14,7 @@ before anything runs, with three interprocedural checks:
 
   PDA200 unbounded-materialization
       Per-record container growth (push_back/emplace_back/insert on a
-      container that escapes the loop) inside a RecordSource/BlockReader
+      container that escapes the loop) inside a RecordScan/BlockReader
       scan loop.  Out-of-core discipline allows only the pre-drawn sample,
       interval histograms, and small-node direct-method buffers to be
       resident; those sites carry a `// pdc: incore(reason)` annotation
@@ -575,9 +575,11 @@ def scan_regions(code: str):
     """(start, end) offsets of scan-loop bodies: lambdas passed to a
     scan(...) call, and loops that consume BlockReader::next_block."""
     regions = []
-    # Any *scan*-named call taking a lambda, including the curried
-    # make_scan(file, block)([&](const T& rec) { ... }) form the dc driver
-    # uses.  A scan callback bound to a named variable first is invisible
+    # Any *scan*-named call taking a lambda, directly or curried
+    # (`open_scan(args)([&] ...)`): the tree binds each io::RecordScan to a
+    # variable named `scan` and calls `scan([&](const T& r) {...})`.  A
+    # callback bound to a named variable first, or a scan value whose name
+    # lacks "scan" (a temporary `RecordScan<T>(...)(...)`), is invisible
     # to the reduced mode (documented limitation).
     for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", code):
         if "scan" not in m.group(1):

@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """run_format.py: formatting gate for the pdc tree.
 
-With clang-format installed (CI), checks or rewrites every C++ file
-against the committed .clang-format.  Without it (the dev container
-ships only GCC), degrades to a whitespace-hygiene pass — trailing
-whitespace, tab indentation, CRLF line endings, missing final newline —
-which is style-profile-independent and therefore always safe to enforce.
+Checks or rewrites every C++ file against the committed .clang-format.
+Without clang-format (clang-format or clang-format-14..20 on PATH) it
+exits 2 and names the missing tool; CI installs it.
 
 Usage:
     run_format.py --check [paths...]    report violations, exit 1 if any
@@ -68,51 +66,6 @@ def clang_format_mode(tool, files, fix):
     return bad
 
 
-def hygiene_violations(text):
-    """Returns (fixed_text, [messages]) for the profile-independent part
-    of the style: no trailing blanks, no tab indent, LF endings, final
-    newline."""
-    messages = []
-    if "\r" in text:
-        messages.append("CRLF line endings")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if line != line.rstrip():
-            messages.append(f"line {i + 1}: trailing whitespace")
-            lines[i] = line.rstrip()
-        stripped = lines[i]
-        indent = stripped[:len(stripped) - len(stripped.lstrip())]
-        if "\t" in indent:
-            messages.append(f"line {i + 1}: tab in indentation")
-            lines[i] = indent.replace("\t", "  ") + stripped.lstrip()
-    text = "\n".join(lines)
-    if text and not text.endswith("\n"):
-        messages.append("missing final newline")
-        text += "\n"
-    while text.endswith("\n\n"):
-        messages.append("blank line(s) at end of file")
-        text = text[:-1]
-    return text, messages
-
-
-def hygiene_mode(files, fix):
-    bad = []
-    for path in files:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            original = f.read()
-        fixed, messages = hygiene_violations(original)
-        if messages:
-            bad.append(path)
-            rel = os.path.relpath(path, REPO_ROOT)
-            for msg in messages:
-                print(f"{rel}: {msg}")
-            if fix:
-                with open(path, "w", encoding="utf-8", newline="") as f:
-                    f.write(fixed)
-    return bad
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="run_format.py")
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -128,18 +81,14 @@ def main(argv=None) -> int:
         sys.exit("run_format: no C++ files found")
 
     tool = find_clang_format()
-    if tool:
-        bad = clang_format_mode(tool, files, args.fix)
-        label = "clang-format"
-    else:
-        print("run_format: clang-format not installed; whitespace-hygiene "
-              "pass only (CI runs the full profile)", file=sys.stderr)
-        bad = hygiene_mode(files, args.fix)
-        label = "hygiene"
+    if not tool:
+        print("run_format: clang-format not found on PATH", file=sys.stderr)
+        return 2
+    bad = clang_format_mode(tool, files, args.fix)
 
     verb = "fixed" if args.fix else "flagged"
-    print(f"run_format [{label}]: {len(files)} file(s), "
-          f"{len(bad)} {verb}", file=sys.stderr)
+    print(f"run_format: {len(files)} file(s), {len(bad)} {verb}",
+          file=sys.stderr)
     return 1 if (bad and not args.fix) else 0
 
 

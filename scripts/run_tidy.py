@@ -5,10 +5,8 @@ Reads compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is on), keeps
 a content-hash result cache so unchanged files cost nothing (CI keys an
 actions/cache on the cache directory), and runs TUs in parallel.
 
-Where clang-tidy is not installed (the dev container ships only GCC) the
-driver degrades to `g++ -fsyntax-only` with the project's own warning
-set — a weaker but non-empty syntax/warning gate — and says so.  CI
-installs real clang-tidy, so the full profile is always enforced there.
+Without clang-tidy (clang-tidy or clang-tidy-14..20 on PATH) the driver
+exits 2 and names the missing tool; CI installs it.
 
 Usage:
     run_tidy.py [paths...]          default: src examples bench
@@ -29,7 +27,6 @@ import hashlib
 import json
 import os
 import re
-import shlex
 import shutil
 import subprocess
 import sys
@@ -67,12 +64,6 @@ def load_compile_commands(build_dir):
         return json.load(f), db
 
 
-def entry_command(entry):
-    if "arguments" in entry:
-        return list(entry["arguments"])
-    return shlex.split(entry["command"])
-
-
 def wanted(path, roots):
     rel = os.path.relpath(path, REPO_ROOT)
     return any(rel == r or rel.startswith(r + os.sep) for r in roots)
@@ -100,31 +91,18 @@ def main(argv=None) -> int:
     parser.add_argument("--log-dir", default=None)
     args = parser.parse_args(argv)
 
+    tidy = find_tool(TIDY_CANDIDATES)
+    if not tidy:
+        print("run_tidy: clang-tidy not found on PATH", file=sys.stderr)
+        return 2
     roots = args.paths or ["src", "examples", "bench"]
     entries, _ = load_compile_commands(args.build_dir)
     entries = [e for e in entries if wanted(e["file"], roots)]
     if not entries:
         sys.exit(f"run_tidy: no translation units under {roots}")
-
-    tidy = find_tool(TIDY_CANDIDATES)
     config_path = os.path.join(REPO_ROOT, ".clang-tidy")
     with open(config_path, "rb") as f:
-        config_bytes = f.read()
-
-    if tidy:
-        mode = "clang-tidy"
-        version = tool_version(tidy)
-    else:
-        mode = "gcc-fsyntax-only"
-        gxx = find_tool(["g++"])
-        if not gxx:
-            sys.exit("run_tidy: neither clang-tidy nor g++ found")
-        version = tool_version(gxx)
-        print("run_tidy: clang-tidy not installed; falling back to "
-              "g++ -fsyntax-only (warning gate only — CI runs the full "
-              "tidy profile)", file=sys.stderr)
-
-    salt = (mode + version).encode() + config_bytes
+        salt = tool_version(tidy).encode() + f.read()
 
     if args.log_dir:
         os.makedirs(args.log_dir, exist_ok=True)
@@ -138,16 +116,8 @@ def main(argv=None) -> int:
         marker = os.path.join(args.cache_dir, key + ".ok")
         if not args.no_cache and os.path.exists(marker):
             return rel, 0, "(cached)"
-        if mode == "clang-tidy":
-            cmd = [tidy, f"--config-file={config_path}", "-p",
-                   args.build_dir, "--quiet", src]
-        else:
-            cmd = entry_command(entry)
-            # Re-run the exact compile command as a syntax-only pass.
-            cmd = [c for i, c in enumerate(cmd)
-                   if c != "-o" and (i == 0 or cmd[i - 1] != "-o")
-                   and c != "-c"]
-            cmd += ["-fsyntax-only", "-Werror"]
+        cmd = [tidy, f"--config-file={config_path}", "-p",
+               args.build_dir, "--quiet", src]
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               cwd=entry.get("directory", REPO_ROOT))
         # clang-tidy exits 0 with suppressed-warning chatter on stderr;
@@ -167,7 +137,7 @@ def main(argv=None) -> int:
         for rel, rc, output in pool.map(check_one, entries):
             status = "ok" if rc == 0 else "FINDINGS"
             tag = " (cached)" if output == "(cached)" else ""
-            print(f"run_tidy [{mode}] {rel}: {status}{tag}")
+            print(f"run_tidy {rel}: {status}{tag}")
             if rc != 0:
                 findings += 1
                 print(output)
@@ -176,8 +146,8 @@ def main(argv=None) -> int:
                         args.log_dir, rel.replace(os.sep, "__") + ".log")
                     with open(log, "w", encoding="utf-8") as f:
                         f.write(output + "\n")
-    print(f"run_tidy: {len(entries)} TU(s), {findings} with findings "
-          f"[{mode}]", file=sys.stderr)
+    print(f"run_tidy: {len(entries)} TU(s), {findings} with findings",
+          file=sys.stderr)
     return 1 if findings else 0
 
 

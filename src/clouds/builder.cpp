@@ -45,9 +45,10 @@ bool CloudsBuilder::should_stop(const data::ClassCounts& counts,
 }
 
 SplitCandidate CloudsBuilder::derive_split(
-    RecordSource& source, std::span<const data::Record> sample,
+    const RecordScan& scan, std::span<const data::Record> sample,
     std::span<const data::Record> records_if_memory,
-    std::uint64_t node_records, std::uint64_t root_records) {
+    std::uint64_t root_records) {
+  const std::uint64_t node_records = scan.count();
   if (cfg_.method == SplitMethod::kDirect) {
     if (records_if_memory.empty()) {
       throw std::logic_error(
@@ -59,14 +60,14 @@ SplitCandidate CloudsBuilder::derive_split(
 
   const int q = cfg_.q_for(node_records, root_records);
   NodeStats stats = NodeStats::with_boundaries(sample, q);
-  collect_stats(source, stats, hooks_);
+  collect_stats(scan, stats, hooks_);
   stats_.records_scanned += node_records;
 
   if (cfg_.method == SplitMethod::kSS) {
     return ss_split(stats, hooks_);
   }
   SseDiag diag;
-  auto best = sse_split(stats, source, hooks_, &diag);
+  auto best = sse_split(stats, scan, hooks_, &diag);
   if (stats_.survival_samples == 0) stats_.root_survival = diag.survival;
   stats_.survival_sum += diag.survival;
   ++stats_.survival_samples;
@@ -91,9 +92,8 @@ void CloudsBuilder::build_subtree_in_core(DecisionTree& tree, InCoreTask task,
       continue;
     }
 
-    MemorySource source(t.data);
     const auto best =
-        derive_split(source, t.sample, t.data, t.data.size(), root_records);
+        derive_split(RecordScan(t.data), t.sample, t.data, root_records);
     // Require an actual partition: both sides non-empty.
     if (!best.valid) {
       ++stats_.leaves;
@@ -169,8 +169,8 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
   // the parent's partitioning step).
   data::ClassCounts root_counts{};
   {
-    DiskSource src(disk, file, block, cfg_.pipeline);
-    src.scan([&](const data::Record& r) {
+    const RecordScan scan(disk, file, block, cfg_.pipeline);
+    scan([&](const data::Record& r) {
       ++root_counts[static_cast<std::size_t>(r.label)];
       hooks_.charge_scan(1);
     });
@@ -211,9 +211,8 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     ++stats_.nodes_processed;
     ++stats_.out_of_core_nodes;
 
-    DiskSource source(disk, t.file, block, cfg_.pipeline);
-    const auto best =
-        derive_split(source, t.sample, {}, n, root_records);
+    const RecordScan scan(disk, t.file, block, cfg_.pipeline);
+    const auto best = derive_split(scan, t.sample, {}, root_records);
     if (!best.valid) {
       ++stats_.leaves;
       if (t.file != file) disk.remove(t.file);
@@ -231,8 +230,7 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     {
       io::BlockWriter<data::Record> lw(disk, lfile, block, cfg_.pipeline);
       io::BlockWriter<data::Record> rw(disk, rfile, block, cfg_.pipeline);
-      DiskSource reread(disk, t.file, block, cfg_.pipeline);
-      reread.scan([&](const data::Record& r) {
+      scan([&](const data::Record& r) {
         if (best.split.goes_left(r)) {
           lw.append(r);
           ++lcounts[static_cast<std::size_t>(r.label)];

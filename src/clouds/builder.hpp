@@ -113,10 +113,9 @@ class CloudsBuilder {
   };
 
   bool should_stop(const data::ClassCounts& counts, std::int32_t depth) const;
-  SplitCandidate derive_split(RecordSource& source,
+  SplitCandidate derive_split(const RecordScan& scan,
                               std::span<const data::Record> sample,
                               std::span<const data::Record> records_if_memory,
-                              std::uint64_t node_records,
                               std::uint64_t root_records);
   void build_subtree_in_core(DecisionTree& tree, InCoreTask task,
                              std::uint64_t root_records);

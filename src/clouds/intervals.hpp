@@ -9,6 +9,7 @@
 // vectors), instead of at every distinct attribute value.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -72,9 +73,11 @@ struct IntervalHist {
   std::size_t interval_count() const { return bounds.size() + 1; }
 
   /// Index of the interval containing `v`: first j with v <= bounds[j],
-  /// else the last interval (NaN lands in interval 0).
+  /// else the last interval.  NaN also lands in the last interval, right of
+  /// every boundary, as Split::goes_left (v <= threshold) routes it.
   std::size_t interval_of(float v) const {
-    return lower_bound_index(bounds.data(), bounds.size(), v);
+    const std::size_t j = lower_bound_index(bounds.data(), bounds.size(), v);
+    return std::isnan(v) ? bounds.size() : j;
   }
 
   void add(float v, std::int8_t label) {

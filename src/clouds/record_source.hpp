@@ -1,75 +1,14 @@
 #pragma once
 
-// Uniform access to a node's records, in-core or out-of-core.
-//
-// Split derivation makes one (SS) or two (SSE) sequential passes over the
-// node's data; RecordSource hides whether those passes stream from the
-// rank's local disk (large nodes, the out-of-core regime) or iterate an
-// in-memory vector (small nodes).
-
-#include <functional>
-#include <span>
-#include <string>
-#include <vector>
+// The in-memory record scan under its historical name.  Kept only because
+// the host-cost benchmark's probes include this header and name the type;
+// new code uses io::RecordScan<data::Record> directly.
 
 #include "data/record.hpp"
-#include "io/local_disk.hpp"
-#include "io/pipeline.hpp"
+#include "io/scan.hpp"
 
 namespace pdc::clouds {
 
-using RecordFn = std::function<void(const data::Record&)>;
-
-class RecordSource {
- public:
-  virtual ~RecordSource() = default;
-  /// One full sequential pass; calls `fn` for every record.
-  virtual void scan(const RecordFn& fn) = 0;
-  virtual std::uint64_t count() const = 0;
-};
-
-class MemorySource final : public RecordSource {
- public:
-  explicit MemorySource(std::span<const data::Record> records)
-      : records_(records) {}
-
-  void scan(const RecordFn& fn) override {
-    for (const auto& r : records_) fn(r);
-  }
-
-  std::uint64_t count() const override { return records_.size(); }
-
- private:
-  std::span<const data::Record> records_;
-};
-
-class DiskSource final : public RecordSource {
- public:
-  DiskSource(io::LocalDisk& disk, std::string name, std::size_t block_records,
-             io::PipelineConfig pipeline = {})
-      : disk_(&disk),
-        name_(std::move(name)),
-        block_records_(block_records),
-        pipeline_(pipeline) {}
-
-  void scan(const RecordFn& fn) override {
-    io::BlockReader<data::Record> reader(*disk_, name_, block_records_,
-                                         pipeline_);
-    std::vector<data::Record> block;
-    while (reader.next_block(block)) {
-      for (const auto& r : block) fn(r);
-    }
-  }
-
-  std::uint64_t count() const override {
-    return disk_->file_records<data::Record>(name_);
-  }
-
- private:
-  io::LocalDisk* disk_;
-  std::string name_;
-  std::size_t block_records_;
-  io::PipelineConfig pipeline_;
-};
+using MemorySource = io::RecordScan<data::Record>;
 
 }  // namespace pdc::clouds

@@ -18,16 +18,16 @@ NodeStats NodeStats::with_boundaries(std::span<const data::Record> sample,
   return stats;
 }
 
-void collect_stats(RecordSource& source, NodeStats& stats,
+void collect_stats(const RecordScan& scan, NodeStats& stats,
                    const CostHooks& hooks) {
   auto sp = hooks.span("histogram-build", "clouds");
   // Per-record charging (not one bulk charge after the pass) so compute
   // accrues between block reaps — what the async pipeline hides I/O under.
-  source.scan([&](const data::Record& r) {
+  scan([&](const data::Record& r) {
     stats.add(r);
     hooks.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
   });
-  sp.set_n(source.count());
+  sp.set_n(scan.count());
 }
 
 SplitCandidate evaluate_boundaries(const IntervalHist& hist, int attr,
@@ -214,7 +214,7 @@ SplitCandidate evaluate_alive_interval(const AliveInterval& iv,
   return best;
 }
 
-SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
+SplitCandidate sse_split(const NodeStats& stats, const RecordScan& scan,
                          const CostHooks& hooks, SseDiag* diag) {
   SplitCandidate best = ss_split(stats, hooks);
   const double gini_boundary = best.valid
@@ -233,7 +233,7 @@ SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
           static_cast<std::size_t>(data::total(alive[k].inside)));
     }
     const AliveIndex index(alive);
-    source.scan([&](const data::Record& r) {
+    scan([&](const data::Record& r) {
       index.for_each(r, [&](std::size_t k, float v) {
         // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
         buckets[k].push_back({v, r.label});

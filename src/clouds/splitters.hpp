@@ -20,9 +20,9 @@
 #include "clouds/categorical.hpp"
 #include "clouds/cost_hooks.hpp"
 #include "clouds/intervals.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/split.hpp"
 #include "data/record.hpp"
+#include "io/scan.hpp"
 
 namespace pdc::clouds {
 
@@ -50,9 +50,12 @@ struct NodeStats {
   }
 };
 
-/// One pass over `source`, filling `stats` (whose boundaries must already be
+/// A node's records, in memory or streamed from the rank's disk.
+using RecordScan = io::RecordScan<data::Record>;
+
+/// One pass of `scan`, filling `stats` (whose boundaries must already be
 /// set).  This is the paper's "evaluation of interval boundaries" data scan.
-void collect_stats(RecordSource& source, NodeStats& stats,
+void collect_stats(const RecordScan& scan, NodeStats& stats,
                    const CostHooks& hooks);
 
 /// Best split among the interval boundaries of one numeric attribute.
@@ -189,8 +192,8 @@ struct SseDiag {
 };
 
 /// The full sequential SSE method: boundary evaluation, aliveness, one
-/// extra pass over `source` to harvest alive points, exact re-evaluation.
-SplitCandidate sse_split(const NodeStats& stats, RecordSource& source,
+/// extra pass of `scan` to harvest alive points, exact re-evaluation.
+SplitCandidate sse_split(const NodeStats& stats, const RecordScan& scan,
                          const CostHooks& hooks, SseDiag* diag = nullptr);
 
 /// Direct method: sort every numeric attribute and evaluate gini at every

@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "io/scan.hpp"
 #include "mp/comm.hpp"
 #include "mp/serialize.hpp"
 
@@ -48,7 +49,7 @@ template <mp::Wireable T>
 class DcProblem {
  public:
   /// Invokes the callback once per record of the local slice (one pass).
-  using Scan = std::function<void(const std::function<void(const T&)>&)>;
+  using Scan = io::RecordScan<T>;
   /// Maps a record to child 0 (left) or 1 (right); must be a pure function
   /// of the record and identical across ranks.
   using Router = std::function<int(const T&)>;

@@ -25,7 +25,7 @@ static_assert(std::is_trivially_copyable_v<WirePoint>);
 AliveOutcome evaluate_alive_parallel(
     mp::Comm& comm, std::span<const clouds::AliveInterval> alive,
     const clouds::SplitCandidate& boundary_best,
-    const data::ClassCounts& node_counts, const LocalScan& scan,
+    const data::ClassCounts& node_counts, const clouds::RecordScan& scan,
     const clouds::CostHooks& hooks) {
   auto sp = hooks.span("alive-evaluation", "pclouds", alive.size());
   AliveOutcome out;

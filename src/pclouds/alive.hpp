@@ -12,7 +12,6 @@
 // intervals to processors".
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -28,13 +27,10 @@ struct AliveOutcome {
   std::uint64_t points_shipped = 0;  ///< this rank's harvested points
 };
 
-using LocalScan =
-    std::function<void(const std::function<void(const data::Record&)>&)>;
-
 AliveOutcome evaluate_alive_parallel(
     mp::Comm& comm, std::span<const clouds::AliveInterval> alive,
     const clouds::SplitCandidate& boundary_best,
-    const data::ClassCounts& node_counts, const LocalScan& scan,
+    const data::ClassCounts& node_counts, const clouds::RecordScan& scan,
     const clouds::CostHooks& hooks);
 
 }  // namespace pdc::pclouds

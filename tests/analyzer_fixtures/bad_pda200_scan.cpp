@@ -15,10 +15,29 @@ struct Reader {
   bool next_block(std::vector<Record>& out);
 };
 
+// A scan value invoked directly, as io::RecordScan<T> is.
+template <class T>
+struct RecordScan {
+  explicit RecordScan(const char* file);
+  template <class F>
+  void operator()(F&& fn) const;
+};
+
 // Growth into a container declared outside the scan callback.
 std::vector<Record> materialize_scan(const Source& source) {
   std::vector<Record> kept;
   source.scan([&](const Record& r) {
+    kept.push_back(r);  // expect-PDA200
+  });
+  return kept;
+}
+
+// A scan value bound to a variable named `scan` and then called: the form
+// the dc driver uses for its partition and redistribution passes.
+std::vector<Record> materialize_record_scan(const char* file) {
+  std::vector<Record> kept;
+  const RecordScan<Record> scan(file);
+  scan([&](const Record& r) {
     kept.push_back(r);  // expect-PDA200
   });
   return kept;

@@ -8,7 +8,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -19,7 +18,6 @@
 #include "clouds/estimate.hpp"
 #include "clouds/gini.hpp"
 #include "clouds/intervals.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "mp/clock.hpp"
@@ -107,9 +105,10 @@ TEST(Intervals, DegenerateSamples) {
 
 TEST(Intervals, IntervalOfMatchesLinearScan) {
   // interval_of must return exactly std::lower_bound's index for every
-  // float, across bound counts that exercise each halving depth.  The
-  // linear reference is the first j with !(bounds[j] < v) — v <= bounds[j]
-  // for every non-NaN v, and 0 for NaN, as std::lower_bound gives.
+  // non-NaN float, across bound counts that exercise each halving depth,
+  // and the last interval for NaN (right of every boundary, where
+  // Split::goes_left sends it).  The linear reference is the first j with
+  // v <= bounds[j], else the last interval.
   constexpr float kInf = std::numeric_limits<float>::infinity();
   constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
   constexpr float kLowest = std::numeric_limits<float>::lowest();
@@ -146,13 +145,17 @@ TEST(Intervals, IntervalOfMatchesLinearScan) {
     ASSERT_EQ(h.interval_count(), bounds.size() + 1);
     auto linear = [&](float v) -> std::size_t {
       for (std::size_t j = 0; j < h.bounds.size(); ++j) {
-        if (!(h.bounds[j] < v)) return j;
+        if (v <= h.bounds[j]) return j;
       }
       return h.bounds.size();
     };
     auto check = [&](float v) {
-      const auto want = static_cast<std::size_t>(
-          std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      const auto want =
+          std::isnan(v)
+              ? bounds.size()
+              : static_cast<std::size_t>(
+                    std::lower_bound(bounds.begin(), bounds.end(), v) -
+                    bounds.begin());
       const auto got = h.interval_of(v);
       EXPECT_EQ(got, want) << "v=" << v << " n=" << bounds.size();
       EXPECT_EQ(got, linear(v)) << "v=" << v << " n=" << bounds.size();
@@ -303,7 +306,7 @@ TEST(Splitters, CollectStatsCountsEveryRecord) {
   auto records = random_records(2000, 2, 5);
   std::vector<Record> sample(records.begin(), records.begin() + 100);
   auto stats = NodeStats::with_boundaries(sample, 20);
-  MemorySource src(records);
+  RecordScan src(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   EXPECT_EQ(data::total(stats.counts), 2000);
@@ -319,7 +322,7 @@ TEST(Splitters, SsBestIsAmongBoundaryGinis) {
   auto records = random_records(3000, 2, 6);
   std::vector<Record> sample(records.begin(), records.begin() + 200);
   auto stats = NodeStats::with_boundaries(sample, 16);
-  MemorySource src(records);
+  RecordScan src(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   auto best = ss_split(stats, hooks);
@@ -343,7 +346,7 @@ TEST_P(SseEquivalence, SseMatchesDirectOptimum) {
     sample.push_back(records[i]);
   }
   auto stats = NodeStats::with_boundaries(sample, q);
-  MemorySource src(records);
+  RecordScan src(records);
   CostHooks hooks;
   collect_stats(src, stats, hooks);
   SseDiag diag;
@@ -376,7 +379,7 @@ TEST(Splitters, LargerQShrinksSurvival) {
   for (int pass = 0; pass < 2; ++pass) {
     const int q = pass == 0 ? 8 : 128;
     auto stats = NodeStats::with_boundaries(sample, q);
-    MemorySource src(records);
+    RecordScan src(records);
     collect_stats(src, stats, hooks);
     SseDiag diag;
     (void)sse_split(stats, src, hooks, &diag);
@@ -464,7 +467,7 @@ TEST(Splitters, AliveIndexMatchesContainsScanOnFoundIntervals) {
         sample.push_back(records[i]);
       }
       auto stats = NodeStats::with_boundaries(sample, q);
-      MemorySource src(records);
+      RecordScan src(records);
       collect_stats(src, stats, hooks);
       const auto best = ss_split(stats, hooks);
       // Thresholds from "nothing alive" through the real SSE one to "every
@@ -555,7 +558,7 @@ TEST(Splitters, CostHooksAdvanceClock) {
   auto records = random_records(1000, 2, 13);
   std::vector<Record> sample(records.begin(), records.begin() + 50);
   auto stats = NodeStats::with_boundaries(sample, 10);
-  MemorySource src(records);
+  RecordScan src(records);
   collect_stats(src, stats, hooks);
   EXPECT_GT(clock.snapshot().compute_s, 0.0);
   const double after_collect = clock.snapshot().compute_s;
@@ -866,6 +869,46 @@ TEST(Splitters, DirectSplitNeverSplitsAtNan) {
   EXPECT_GT(data::total(right), 0);
 }
 
+TEST(Splitters, BoundaryGiniMatchesRoutedPartitionWithNans) {
+  // Salary separates the classes at 199.5; a fifth of the records carry a
+  // NaN salary and class 0.  goes_left sends every NaN right, so the gini
+  // a boundary reports must count them right too.  The sample (which sets
+  // the boundaries) holds no NaN; every other attribute is constant.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Record> records;
+  std::vector<Record> sample;
+  for (int i = 0; i < 400; ++i) {
+    Record r{};
+    r.num[0] = static_cast<float>(i);
+    r.label = static_cast<std::int8_t>(i < 200 ? 0 : 1);
+    records.push_back(r);
+    if (i % 10 == 0) sample.push_back(r);
+  }
+  for (int i = 0; i < 100; ++i) {
+    Record r{};
+    r.num[0] = nan;
+    records.push_back(r);
+  }
+  CostHooks hooks;
+  auto stats = NodeStats::with_boundaries(sample, 16);
+  const RecordScan scan(records);
+  collect_stats(scan, stats, hooks);
+  EXPECT_EQ(stats.hists[0].freq.back()[0], 100);
+
+  const auto ss = ss_split(stats, hooks);
+  ASSERT_TRUE(ss.valid);
+  ASSERT_EQ(ss.split.kind, Split::Kind::kNumeric);
+  ASSERT_EQ(ss.split.attr, 0);
+  const auto [left, right] = routed_counts(records, ss.split);
+  EXPECT_EQ(ss.gini, split_gini(left, right));
+
+  const auto sse = sse_split(stats, scan, hooks);
+  ASSERT_TRUE(sse.valid);
+  EXPECT_LE(sse.gini, ss.gini);
+  const auto [sse_left, sse_right] = routed_counts(records, sse.split);
+  EXPECT_EQ(sse.gini, split_gini(sse_left, sse_right));
+}
+
 TEST(Splitters, AliveParallelMatchesOneRankAtEveryP) {
   auto records = random_records(6000, 2, 61);
   std::vector<Record> sample;
@@ -874,7 +917,7 @@ TEST(Splitters, AliveParallelMatchesOneRankAtEveryP) {
   }
   CostHooks hooks;
   auto stats = NodeStats::with_boundaries(sample, 24);
-  MemorySource src(records);
+  RecordScan src(records);
   collect_stats(src, stats, hooks);
   const auto boundary = ss_split(stats, hooks);
   const auto alive = find_alive_intervals(stats, boundary.gini, hooks);
@@ -889,15 +932,14 @@ TEST(Splitters, AliveParallelMatchesOneRankAtEveryP) {
     std::vector<Run> ranks(static_cast<std::size_t>(p));
     mp::Runtime rt(p);
     rt.run([&](mp::Comm& comm) {
-      pclouds::LocalScan scan =
-          [&](const std::function<void(const Record&)>& fn) {
-            for (std::size_t i = static_cast<std::size_t>(comm.rank());
-                 i < records.size(); i += static_cast<std::size_t>(p)) {
-              fn(records[i]);
-            }
-          };
+      // This rank's strided share, scanned in the same order.
+      std::vector<Record> share;
+      for (std::size_t i = static_cast<std::size_t>(comm.rank());
+           i < records.size(); i += static_cast<std::size_t>(p)) {
+        share.push_back(records[i]);
+      }
       const auto out = pclouds::evaluate_alive_parallel(
-          comm, alive, boundary, stats.counts, scan, {});
+          comm, alive, boundary, stats.counts, RecordScan(share), {});
       ranks[static_cast<std::size_t>(comm.rank())] = {out.best, out.survival,
                                                       out.points_shipped};
     });

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "clouds/builder.hpp"
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/dataset.hpp"
 #include "drift_report.hpp"
@@ -133,7 +132,7 @@ TEST(Differential, SseMatchesDirectSplitQualityOnRandomNodes) {
     next += 600;
 
     auto stats = clouds::NodeStats::with_boundaries(records, /*q=*/24);
-    clouds::MemorySource source(records);
+    clouds::RecordScan source(records);
     clouds::collect_stats(source, stats, {});
 
     const auto exact = clouds::direct_split(records, {});
@@ -172,7 +171,7 @@ NodeWorkload make_node_workload(int function, std::uint64_t seed, int q,
     w.sample.push_back(w.records[i]);
   }
   w.global = clouds::NodeStats::with_boundaries(w.sample, q);
-  clouds::MemorySource src(w.records);
+  clouds::RecordScan src(w.records);
   clouds::collect_stats(src, w.global, {});
   w.exact = clouds::ss_split(w.global, {});
   return w;
@@ -206,7 +205,7 @@ NodeWorkload make_near_tie_workload(std::uint64_t seed, int q) {
     w.sample.push_back(w.records[i]);
   }
   w.global = clouds::NodeStats::with_boundaries(w.sample, q);
-  clouds::MemorySource src(w.records);
+  clouds::RecordScan src(w.records);
   clouds::collect_stats(src, w.global, {});
   w.exact = clouds::ss_split(w.global, {});
   return w;

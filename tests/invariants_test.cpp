@@ -52,7 +52,7 @@ TEST(Invariants, GiniLowerBoundNeverExceedsExactGiniInTheInterval) {
   for (int trial = 0; trial < 100; ++trial) {
     const auto records = random_node(rng, 400);
     auto stats = clouds::NodeStats::with_boundaries(records, /*q=*/16);
-    clouds::MemorySource source(records);
+    clouds::RecordScan source(records);
     clouds::collect_stats(source, stats, {});
 
     const auto boundary_best = clouds::ss_split(stats, {});

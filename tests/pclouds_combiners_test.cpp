@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "mp/runtime.hpp"
@@ -21,8 +21,8 @@ namespace pdc::pclouds {
 namespace {
 
 using clouds::CostHooks;
-using clouds::MemorySource;
 using clouds::NodeStats;
+using clouds::RecordScan;
 using data::Record;
 
 struct Workload {
@@ -42,7 +42,7 @@ Workload make_workload(int q, std::uint64_t seed) {
     w.sample.push_back(w.records[i]);
   }
   w.global = NodeStats::with_boundaries(w.sample, q);
-  MemorySource src(w.records);
+  RecordScan src(w.records);
   CostHooks hooks;
   clouds::collect_stats(src, w.global, hooks);
   w.seq_best = clouds::ss_split(w.global, hooks);
@@ -260,7 +260,7 @@ TEST_P(AliveParallelP, MatchesSequentialSseOptimum) {
   const auto w = make_workload(q, 13);
 
   // Sequential SSE reference.
-  MemorySource src(w.records);
+  RecordScan src(w.records);
   CostHooks hooks;
   auto stats = w.global;
   const auto seq = clouds::sse_split(stats, src, hooks);
@@ -268,15 +268,15 @@ TEST_P(AliveParallelP, MatchesSequentialSseOptimum) {
 
   mp::Runtime rt(p);
   rt.run([&](mp::Comm& comm) {
-    // Local second-pass scan over this rank's share.
-    LocalScan scan = [&](const std::function<void(const Record&)>& fn) {
-      for (std::size_t i = static_cast<std::size_t>(comm.rank());
-           i < w.records.size(); i += static_cast<std::size_t>(p)) {
-        fn(w.records[i]);
-      }
-    };
-    const auto outcome = evaluate_alive_parallel(
-        comm, w.seq_alive, w.seq_best, w.global.counts, scan, {});
+    // Local second-pass scan over this rank's strided share.
+    std::vector<Record> share;
+    for (std::size_t i = static_cast<std::size_t>(comm.rank());
+         i < w.records.size(); i += static_cast<std::size_t>(p)) {
+      share.push_back(w.records[i]);
+    }
+    const auto outcome =
+        evaluate_alive_parallel(comm, w.seq_alive, w.seq_best,
+                                w.global.counts, RecordScan(share), {});
     EXPECT_NEAR(outcome.best.gini, seq.gini, 1e-12);
     EXPECT_GE(outcome.survival, 0.0);
   });
@@ -289,9 +289,10 @@ TEST(AliveParallel, NoAliveIntervalsReturnsBoundaryBest) {
   rt.run([&](mp::Comm& comm) {
     clouds::SplitCandidate boundary;
     boundary.consider(0.25, clouds::Split{});
-    LocalScan scan = [](const std::function<void(const Record&)>&) {};
-    const auto outcome = evaluate_alive_parallel(
-        comm, {}, boundary, data::ClassCounts{{{10, 10}}}, scan, {});
+    const auto outcome =
+        evaluate_alive_parallel(comm, {}, boundary,
+                                data::ClassCounts{{{10, 10}}},
+                                RecordScan(std::span<const Record>{}), {});
     EXPECT_DOUBLE_EQ(outcome.best.gini, 0.25);
     EXPECT_DOUBLE_EQ(outcome.survival, 0.0);
     EXPECT_EQ(outcome.points_shipped, 0u);

@@ -18,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "clouds/record_source.hpp"
 #include "clouds/splitters.hpp"
 #include "data/agrawal.hpp"
 #include "data/dataset.hpp"
@@ -33,8 +32,8 @@ namespace pdc::pclouds {
 namespace {
 
 using clouds::CostHooks;
-using clouds::MemorySource;
 using clouds::NodeStats;
+using clouds::RecordScan;
 using data::Record;
 using fault::CommFault;
 using fault::FaultPlan;
@@ -63,7 +62,7 @@ Workload make_workload(int q, std::uint64_t seed, bool skewed) {
     w.sample.push_back(w.records[i]);
   }
   w.global = NodeStats::with_boundaries(w.sample, q);
-  MemorySource src(w.records);
+  RecordScan src(w.records);
   CostHooks hooks;
   clouds::collect_stats(src, w.global, hooks);
   w.seq_best = clouds::ss_split(w.global, hooks);
