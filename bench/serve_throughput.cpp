@@ -107,13 +107,14 @@ int main() {
 
   // One JSONL row per point: the best repeat's rate and wall seconds.
   const auto emit_row = [&](const std::string& label, const char* mode,
-                            int threads, const Best& best) {
+                            int threads, std::uint64_t records,
+                            const Best& best) {
     pdc::bench::append_json_row(
         pdc::obs::Json::object({{"label", label},
                                 {"mode", mode},
                                 {"threads", threads},
                                 {"hw_threads", hw_threads()},
-                                {"records", n_serve},
+                                {"records", records},
                                 {"wall_s", best.wall_s},
                                 {"records_per_s", best.records_per_s}}));
   };
@@ -130,7 +131,7 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/interp", "interpreted", 1, interp);
+  emit_row("serve/interp", "interpreted", 1, n_serve, interp);
   std::printf("%-24s %12.0f records/s\n", "interpreted", interp.records_per_s);
 
   const Best single = best_rps(
@@ -143,7 +144,7 @@ int main() {
         return acc;
       },
       &sink);
-  emit_row("serve/compiled/single", "compiled-single", 1, single);
+  emit_row("serve/compiled/single", "compiled-single", 1, n_serve, single);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled single",
               single.records_per_s,
               single.records_per_s / interp.records_per_s);
@@ -156,7 +157,7 @@ int main() {
         return static_cast<std::uint64_t>(out[0]);
       },
       &sink);
-  emit_row("serve/compiled/batch", "compiled-batch", 1, batch);
+  emit_row("serve/compiled/batch", "compiled-batch", 1, n_serve, batch);
   std::printf("%-24s %12.0f records/s (%.1fx interp)\n", "compiled batch",
               batch.records_per_s,
               batch.records_per_s / interp.records_per_s);
@@ -166,6 +167,7 @@ int main() {
   double rps_r1 = 0.0;
   for (const int r : {1, 2, 4}) {
     Best best;
+    std::uint64_t served = 0;  // whole batches only: <= n_serve
     for (int rep = 0; rep < kReps; ++rep) {
       pdc::serve::Server server(
           compiled, {.replicas = r,
@@ -178,9 +180,11 @@ int main() {
       const auto report = pdc::serve::run_loadgen(server, compiled, cfg);
       server.shutdown();
       best.consider(report.records_per_s, report.wall_s);
+      served = report.total_records;
     }
     if (r == 1) rps_r1 = best.records_per_s;
-    emit_row("serve/replicas/r=" + std::to_string(r), "served", r, best);
+    emit_row("serve/replicas/r=" + std::to_string(r), "served", r, served,
+             best);
     std::printf("served, %d replica%-3s %12.0f records/s (%.2fx r=1)\n", r,
                 r == 1 ? ":" : "s:", best.records_per_s,
                 best.records_per_s / rps_r1);

@@ -168,7 +168,7 @@ CHECKS = [
 # only on comm-named receivers because the identifier is ubiquitous in
 # tree code (clouds::Split members).
 COLLECTIVES = (
-    "barrier", "all_to_all_broadcast", "all_gather", "gather",
+    "barrier", "all_fold", "all_to_all_broadcast", "all_gather", "gather",
     "broadcast", "broadcast_value", "all_reduce", "all_reduce_vec",
     "prefix_sum", "min_loc", "all_to_all",
 )
@@ -199,7 +199,7 @@ TAINT_SEED_RE = re.compile(
 # rank.
 UNIFORM_COLLECTIVE_RE = re.compile(
     r"(?:\.|->)\s*(?:all_reduce|all_reduce_vec|broadcast|broadcast_value|"
-    r"all_gather|all_to_all_broadcast|min_loc)\s*(?:<[^;(]*>)?\s*\(")
+    r"all_gather|all_to_all_broadcast|all_fold|min_loc)\s*(?:<[^;(]*>)?\s*\(")
 
 # push_back/emplace_back/insert only: BlockWriter::append and friends are
 # disk writes, not materialization.  The optional subscript handles one

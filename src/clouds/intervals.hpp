@@ -40,9 +40,12 @@ inline std::size_t lower_bound_index(const float* first, std::size_t n,
 /// Equi-depth interior boundaries from sample values: at most q-1 ascending
 /// distinct cut points; interval j covers (b[j-1], b[j]] with b[-1] = -inf
 /// and b[q-1] = +inf.  Fewer boundaries are returned when the sample has
-/// fewer distinct values.
+/// fewer distinct values.  NaN sample values are dropped first: they would
+/// break the sort's strict weak ordering, and IntervalHist::interval_of puts
+/// NaN in the last interval whatever the bounds are.
 inline std::vector<float> equi_depth_boundaries(std::vector<float> sample,
                                                 int q) {
+  std::erase_if(sample, [](float v) { return std::isnan(v); });
   std::vector<float> bounds;
   if (q <= 1 || sample.empty()) return bounds;
   std::sort(sample.begin(), sample.end());

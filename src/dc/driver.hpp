@@ -25,12 +25,12 @@
 //                   their estimated costs and redistributed in one batched
 //                   exchange ("delayed task parallelism").
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -152,13 +152,11 @@ class DcDriver {
                              local.size());
     comm.tracer().observe("dc.combiner_message_bytes",
                           static_cast<double>(local.size()));
-    auto blobs = comm.all_to_all_broadcast<std::byte>(local);
-    std::vector<std::byte> acc = std::move(blobs[0]);
-    for (int r = 1; r < comm.size(); ++r) {
-      acc = problem.combine(std::move(acc),
-                            blobs[static_cast<std::size_t>(r)]);
-    }
-    return acc;
+    return comm.all_fold(
+        local, [](const std::vector<std::byte>& b) { return b; },
+        [&](std::vector<std::byte> acc, const std::vector<std::byte>& b) {
+          return problem.combine(std::move(acc), b);
+        });
   }
 
   /// Partition `parent` into two child tasks; returns them (files written,
@@ -310,17 +308,18 @@ class DcDriver {
                                      cfg_.pipeline);
         locals[i] = problem.local_stats(scan, level[i].task);
       }
-      auto frames =
-          comm.all_to_all_broadcast<std::byte>(frame_blobs(locals));
-      std::vector<std::vector<std::byte>> combined =
-          unframe_blobs(frames[0], level.size());
-      for (int r = 1; r < comm.size(); ++r) {
-        auto other = unframe_blobs(frames[static_cast<std::size_t>(r)],
-                                   level.size());
-        for (std::size_t i = 0; i < level.size(); ++i) {
-          combined[i] = problem.combine(std::move(combined[i]), other[i]);
-        }
-      }
+      const auto combined = comm.all_fold(
+          frame_blobs(locals),
+          [&](const std::vector<std::byte>& frame) {
+            return unframe_blobs(frame, level.size());
+          },
+          [&](auto acc, const std::vector<std::byte>& frame) {
+            auto other = unframe_blobs(frame, level.size());
+            for (std::size_t i = 0; i < level.size(); ++i) {
+              acc[i] = problem.combine(std::move(acc[i]), other[i]);
+            }
+            return acc;
+          });
 
       std::vector<Pending> next;
       for (std::size_t i = 0; i < level.size(); ++i) {
@@ -579,18 +578,20 @@ class DcDriver {
     auto sp = obs::SpanGuard(comm.tracer(), "checkpoint-restore", "fault");
     fault::CheckpointStore store(*disk_);
     const auto mine = store.valid_versions();
-    const auto all = comm.all_to_all_broadcast<std::uint64_t>(
-        std::span<const std::uint64_t>(mine));
-    std::set<std::uint64_t> common(all[0].begin(), all[0].end());
-    for (int r = 1; r < comm.size(); ++r) {
-      const std::set<std::uint64_t> theirs(
-          all[static_cast<std::size_t>(r)].begin(),
-          all[static_cast<std::size_t>(r)].end());
-      std::erase_if(common,
-                    [&](std::uint64_t v) { return !theirs.contains(v); });
-    }
+    const auto versions = [](const std::vector<std::byte>& b) {
+      return mp::from_bytes<std::uint64_t>(b);
+    };
+    const auto common = comm.all_fold(
+        mp::to_bytes(std::span<const std::uint64_t>(mine)), versions,
+        [&](std::vector<std::uint64_t> acc, const std::vector<std::byte>& b) {
+          const auto theirs = versions(b);
+          std::erase_if(acc, [&](std::uint64_t v) {
+            return std::ranges::find(theirs, v) == theirs.end();
+          });
+          return acc;
+        });
     if (common.empty()) return false;
-    const std::uint64_t v = *common.rbegin();
+    const std::uint64_t v = std::ranges::max(common);
 
     const auto state = store.read_blob(v, "state");
     std::size_t at = 0;

@@ -12,7 +12,8 @@
 //
 //   local_stats  one streaming pass over the rank's slice of a task,
 //                producing a statistics blob,
-//   combine      associative merge of two blobs (folded in rank order),
+//   combine      associative merge of two blobs, folded in rank order by
+//                mp::Comm::all_fold (no identity element is assumed),
 //   decide       given the globally combined blob, either produce a Router
 //                (record -> child 0/1) or declare the task a leaf.  decide
 //                is collective: it may run further collectives and further

@@ -27,9 +27,9 @@
 #include <cstdint>
 #include <memory>
 #include <functional>
-#include <numeric>
 #include <source_location>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -120,17 +120,16 @@ class Comm {
       int key;
     };
     const ColorKey mine{color, key == -1 ? rank_ : key};
-    const auto all = all_to_all_broadcast<ColorKey>(
-        std::span<const ColorKey>(&mine, 1), loc);
+    const auto all =
+        all_gather<ColorKey>(std::span<const ColorKey>(&mine, 1), loc);
 
     auto members = std::make_shared<std::vector<int>>();
     int my_pos = -1;
     // Stable selection ordered by (key, parent rank).
     std::vector<std::pair<int, int>> selected;  // (key, parent rank)
     for (int r = 0; r < size_; ++r) {
-      if (all[static_cast<std::size_t>(r)][0].color == color) {
-        selected.emplace_back(all[static_cast<std::size_t>(r)][0].key, r);
-      }
+      const ColorKey& ck = all[static_cast<std::size_t>(r)];
+      if (ck.color == color) selected.emplace_back(ck.key, r);
     }
     std::sort(selected.begin(), selected.end());
     for (const auto& [k, r] : selected) {
@@ -208,12 +207,30 @@ class Comm {
   // -------------------------------------------------------- collectives ---
 
   void barrier(std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("barrier");
-    sync_publish({}, "barrier", loc, &sp);
-    const double t_max = max_published_time();
-    ctx_->read_barrier();
-    settle(t_max, cost_->barrier(size_));
-    ctx_->reuse_barrier();
+    const auto read_nothing = [] { return 0; };
+    rendezvous("barrier", obs::kNoArg, {}, loc, read_nothing,
+               [&](std::size_t) { return cost_->barrier(size_); });
+  }
+
+  /// Allgather-fold (the replication method's combine): every rank
+  /// publishes `mine` and gets `seed(block 0)` folded with blocks 1..p-1 in
+  /// rank order, `acc = fold(std::move(acc), block r)`, each block read in
+  /// place.  No identity element is assumed of `fold`.  Costs and traces as
+  /// the all-to-all broadcast it is, sized by the largest block.
+  template <class Seed, class Fold>
+  auto all_fold(std::vector<std::byte> mine, Seed seed, Fold fold,
+                std::source_location loc = std::source_location::current()) {
+    const std::uint64_t bytes = mine.size();
+    return rendezvous(
+        "all_to_all_broadcast", bytes, std::move(mine), loc,
+        [&] {
+          auto acc = seed(std::as_const(ctx_->slot(0)));
+          for (int r = 1; r < size_; ++r) {
+            acc = fold(std::move(acc), std::as_const(ctx_->slot(r)));
+          }
+          return acc;
+        },
+        [&](std::size_t m) { return cost_->all_to_all_broadcast(size_, m); });
   }
 
   /// All-to-all broadcast (allgather): every rank contributes a block, every
@@ -223,20 +240,15 @@ class Comm {
   std::vector<std::vector<T>> all_to_all_broadcast(
       std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("all_to_all_broadcast", mine.size_bytes());
-    sync_publish(to_bytes(mine), "all_to_all_broadcast", loc, &sp);
-    const double t_max = max_published_time();
-    std::size_t m = 0;
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
-      const auto& s = ctx_->slot(r);
-      m = std::max(m, s.size());
-      out[static_cast<std::size_t>(r)] = from_bytes<T>(s);
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->all_to_all_broadcast(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+    using Blocks = std::vector<std::vector<T>>;
+    const auto append = [](Blocks acc, const std::vector<std::byte>& b) {
+      acc.push_back(from_bytes<T>(b));
+      return acc;
+    };
+    return all_fold(
+        to_bytes(mine),
+        [&](const std::vector<std::byte>& b) { return append({}, b); }, append,
+        loc);
   }
 
   /// Allgather returning the concatenation of all blocks in rank order.
@@ -244,13 +256,15 @@ class Comm {
   std::vector<T> all_gather(
       std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
-    auto blocks = all_to_all_broadcast(mine, loc);
-    std::vector<T> out;
-    std::size_t total = 0;
-    for (const auto& b : blocks) total += b.size();
-    out.reserve(total);
-    for (auto& b : blocks) out.insert(out.end(), b.begin(), b.end());
-    return out;
+    return all_fold(
+        to_bytes(mine),
+        [](const std::vector<std::byte>& b) { return from_bytes<T>(b); },
+        [](std::vector<T> acc, const std::vector<std::byte>& b) {
+          const auto block = from_bytes<T>(b);
+          acc.insert(acc.end(), block.begin(), block.end());
+          return acc;
+        },
+        loc);
   }
 
   /// Gather to `root`: root receives all blocks (indexed by source rank);
@@ -259,22 +273,16 @@ class Comm {
   std::vector<std::vector<T>> gather(
       int root, std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("gather", mine.size_bytes());
-    sync_publish(to_bytes(mine), "gather", loc, &sp);
-    const double t_max = max_published_time();
-    std::size_t m = 0;
-    for (int r = 0; r < size_; ++r) m = std::max(m, ctx_->slot(r).size());
-    std::vector<std::vector<T>> out;
-    if (rank_ == root) {
-      out.resize(static_cast<std::size_t>(size_));
-      for (int r = 0; r < size_; ++r) {
-        out[static_cast<std::size_t>(r)] = from_bytes<T>(ctx_->slot(r));
-      }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->gather(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+    return rendezvous(
+        "gather", mine.size_bytes(), to_bytes(mine), loc,
+        [&] {
+          std::vector<std::vector<T>> out;
+          for (int r = 0; rank_ == root && r < size_; ++r) {
+            out.push_back(from_bytes<T>(ctx_->slot(r)));
+          }
+          return out;
+        },
+        [&](std::size_t m) { return cost_->gather(size_, m); });
   }
 
   /// One-to-all broadcast of a block from `root`.
@@ -282,18 +290,12 @@ class Comm {
   std::vector<T> broadcast(
       int root, std::span<const T> mine,
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("broadcast",
-                        rank_ == root ? mine.size_bytes() : std::size_t{0});
-    sync_publish(rank_ == root ? to_bytes(mine) : std::vector<std::byte>{},
-                 "broadcast", loc, &sp);
-    const double t_max = max_published_time();
-    const auto& s = ctx_->slot(root);
-    const std::size_t m = s.size();
-    std::vector<T> out = from_bytes<T>(s);
-    ctx_->read_barrier();
-    settle(t_max, cost_->one_to_all_broadcast(size_, m));
-    ctx_->reuse_barrier();
-    return out;
+    const bool is_root = rank_ == root;
+    return rendezvous(
+        "broadcast", is_root ? mine.size_bytes() : 0,
+        is_root ? to_bytes(mine) : std::vector<std::byte>{}, loc,
+        [&] { return from_bytes<T>(ctx_->slot(root)); },
+        [&](std::size_t m) { return cost_->one_to_all_broadcast(size_, m); });
   }
 
   template <Wireable T>
@@ -308,17 +310,16 @@ class Comm {
   template <Wireable T, class Op = std::plus<T>>
   T all_reduce(const T& value, Op op = Op{},
                std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("all_reduce", sizeof(T));
-    sync_publish(to_bytes(value), "all_reduce", loc, &sp);
-    const double t_max = max_published_time();
-    T acc = value_from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r < size_; ++r) {
-      acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return acc;
+    return rendezvous(
+        "all_reduce", sizeof(T), to_bytes(value), loc,
+        [&] {
+          T acc = value_from_bytes<T>(ctx_->slot(0));
+          for (int r = 1; r < size_; ++r) {
+            acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
+          }
+          return acc;
+        },
+        [&](std::size_t) { return cost_->global_combine(size_, sizeof(T)); });
   }
 
   /// Element-wise global combine of equal-length vectors.
@@ -326,37 +327,35 @@ class Comm {
   std::vector<T> all_reduce_vec(
       std::span<const T> mine, Op op = Op{},
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("all_reduce_vec", mine.size_bytes());
-    sync_publish(to_bytes(mine), "all_reduce_vec", loc, &sp);
-    const double t_max = max_published_time();
-    std::vector<T> acc = from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r < size_; ++r) {
-      auto other = from_bytes<T>(ctx_->slot(r));
-      for (std::size_t i = 0; i < acc.size(); ++i) {
-        acc[i] = op(std::move(acc[i]), other[i]);
-      }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, mine.size_bytes()));
-    ctx_->reuse_barrier();
-    return acc;
+    return rendezvous(
+        "all_reduce_vec", mine.size_bytes(), to_bytes(mine), loc,
+        [&] {
+          std::vector<T> acc = from_bytes<T>(ctx_->slot(0));
+          for (int r = 1; r < size_; ++r) {
+            const auto other = from_bytes<T>(ctx_->slot(r));
+            for (std::size_t i = 0; i < acc.size(); ++i) {
+              acc[i] = op(std::move(acc[i]), other[i]);
+            }
+          }
+          return acc;
+        },
+        [&](std::size_t m) { return cost_->global_combine(size_, m); });
   }
 
   /// Inclusive prefix sum (scan) over ranks with a binary op.
   template <Wireable T, class Op = std::plus<T>>
   T prefix_sum(const T& value, Op op = Op{},
                std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("prefix_sum", sizeof(T));
-    sync_publish(to_bytes(value), "prefix_sum", loc, &sp);
-    const double t_max = max_published_time();
-    T acc = value_from_bytes<T>(ctx_->slot(0));
-    for (int r = 1; r <= rank_; ++r) {
-      acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->prefix_sum(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return acc;
+    return rendezvous(
+        "prefix_sum", sizeof(T), to_bytes(value), loc,
+        [&] {
+          T acc = value_from_bytes<T>(ctx_->slot(0));
+          for (int r = 1; r <= rank_; ++r) {
+            acc = op(std::move(acc), value_from_bytes<T>(ctx_->slot(r)));
+          }
+          return acc;
+        },
+        [&](std::size_t) { return cost_->prefix_sum(size_, sizeof(T)); });
   }
 
   /// Min-reduction with location: the globally minimal value (ties broken by
@@ -366,22 +365,17 @@ class Comm {
   std::pair<T, int> min_loc(
       const T& value, Less less = Less{},
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("min_loc", sizeof(T));
-    sync_publish(to_bytes(value), "min_loc", loc, &sp);
-    const double t_max = max_published_time();
-    T best = value_from_bytes<T>(ctx_->slot(0));
-    int best_rank = 0;
-    for (int r = 1; r < size_; ++r) {
-      T other = value_from_bytes<T>(ctx_->slot(r));
-      if (less(other, best)) {
-        best = other;
-        best_rank = r;
-      }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->global_combine(size_, sizeof(T)));
-    ctx_->reuse_barrier();
-    return {best, best_rank};
+    return rendezvous(
+        "min_loc", sizeof(T), to_bytes(value), loc,
+        [&] {
+          std::pair<T, int> best{value_from_bytes<T>(ctx_->slot(0)), 0};
+          for (int r = 1; r < size_; ++r) {
+            T other = value_from_bytes<T>(ctx_->slot(r));
+            if (less(other, best.first)) best = {other, r};
+          }
+          return best;
+        },
+        [&](std::size_t) { return cost_->global_combine(size_, sizeof(T)); });
   }
 
   /// All-to-all personalized exchange: `outgoing[d]` goes to rank d; returns
@@ -390,51 +384,44 @@ class Comm {
   std::vector<std::vector<T>> all_to_all(
       const std::vector<std::vector<T>>& outgoing,
       std::source_location loc = std::source_location::current()) {
-    auto sp = prim_span("all_to_all");
     // Frame: p uint64 segment lengths (in elements), then the segments.
-    std::vector<std::byte> frame;
-    std::vector<std::uint64_t> lens(static_cast<std::size_t>(size_));
+    std::vector<std::uint64_t> lens;
     std::size_t total = 0;
-    for (int d = 0; d < size_; ++d) {
-      lens[static_cast<std::size_t>(d)] =
-          outgoing[static_cast<std::size_t>(d)].size();
-      total += outgoing[static_cast<std::size_t>(d)].size();
+    for (const auto& block : outgoing) {
+      lens.push_back(block.size());
+      total += block.size();
     }
-    frame.reserve(lens.size() * sizeof(std::uint64_t) + total * sizeof(T));
-    append_bytes(frame, std::span<const std::uint64_t>(lens));
-    for (int d = 0; d < size_; ++d) {
-      append_bytes(frame,
-                   std::span<const T>(outgoing[static_cast<std::size_t>(d)]));
+    auto frame = to_bytes(std::span<const std::uint64_t>(lens));
+    frame.reserve(frame.size() + total * sizeof(T));
+    for (const auto& block : outgoing) {
+      const auto bytes = to_bytes(std::span<const T>(block));
+      frame.insert(frame.end(), bytes.begin(), bytes.end());
     }
-    sp.set_bytes(frame.size());
-    sync_publish(std::move(frame), "all_to_all", loc, &sp);
-    const double t_max = max_published_time();
-
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size_));
     std::size_t max_pair_bytes = 0;
-    for (int s = 0; s < size_; ++s) {
-      const auto& slot = ctx_->slot(s);
-      auto their_lens = from_bytes<std::uint64_t>(
-          std::span<const std::byte>(slot.data(),
-                                     static_cast<std::size_t>(size_) *
-                                         sizeof(std::uint64_t)));
-      std::size_t off = static_cast<std::size_t>(size_) * sizeof(std::uint64_t);
-      for (int d = 0; d < size_; ++d) {
-        const std::size_t seg = static_cast<std::size_t>(
-                                    their_lens[static_cast<std::size_t>(d)]) *
-                                sizeof(T);
-        if (d != s) max_pair_bytes = std::max(max_pair_bytes, seg);
-        if (d == rank_) {
-          incoming[static_cast<std::size_t>(s)] = from_bytes<T>(
-              std::span<const std::byte>(slot.data() + off, seg));
-        }
-        off += seg;
-      }
-    }
-    ctx_->read_barrier();
-    settle(t_max, cost_->all_to_all_personalized(size_, max_pair_bytes));
-    ctx_->reuse_barrier();
-    return incoming;
+    return rendezvous(
+        "all_to_all", obs::kNoArg, std::move(frame), loc,
+        [&] {
+          const auto p = static_cast<std::size_t>(size_);
+          const auto me = static_cast<std::size_t>(rank_);
+          const std::size_t header = p * sizeof(std::uint64_t);
+          std::vector<std::vector<T>> incoming(p);
+          for (std::size_t s = 0; s < p; ++s) {
+            const std::span<const std::byte> slot =
+                ctx_->slot(static_cast<int>(s));
+            const auto sizes = from_bytes<std::uint64_t>(slot.first(header));
+            std::size_t off = header;
+            for (std::size_t d = 0; d < p; ++d) {
+              const std::size_t seg = sizes[d] * sizeof(T);
+              if (d != s) max_pair_bytes = std::max(max_pair_bytes, seg);
+              if (d == me) incoming[s] = from_bytes<T>(slot.subspan(off, seg));
+              off += seg;
+            }
+          }
+          return incoming;
+        },
+        [&](std::size_t) {
+          return cost_->all_to_all_personalized(size_, max_pair_bytes);
+        });
   }
 
  private:
@@ -493,21 +480,25 @@ class Comm {
     return global;  // message from outside the group: report global id
   }
 
-  template <Wireable T>
-  static void append_bytes(std::vector<std::byte>& out,
-                           std::span<const T> data) {
-    const auto bytes = to_bytes(data);
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-
-  void sync_publish(std::vector<std::byte> payload, std::string_view prim,
-                    const std::source_location& loc,
-                    obs::SpanGuard* sp = nullptr) {
-    if (sp && tracer_.enabled()) {
+  /// The one rendezvous every collective runs: publish the payload and the
+  /// modeled time, audit lockstep, `read()` the slots and price the call
+  /// with its Table-1 `cost(largest payload)` while every slot is live,
+  /// then charge the cost from the latest arrival.  `bytes` is the span's
+  /// arg and an mp.primitive_bytes sample; with obs::kNoArg nothing is
+  /// sampled and the span carries the published size, if any.
+  template <class Read, class Cost>
+  std::invoke_result_t<Read&> rendezvous(std::string_view prim,
+                                         std::uint64_t bytes,
+                                         std::vector<std::byte> payload,
+                                         const std::source_location& loc,
+                                         Read read, Cost cost) {
+    auto sp = prim_span(prim, bytes);
+    if (bytes == obs::kNoArg && !payload.empty()) sp.set_bytes(payload.size());
+    if (tracer_.enabled()) {
       // Stamp the span with this collective's cross-rank identity so the
       // profiler can align it with the other members' spans offline.
-      sp->set_sync(lockstep_site_hash(loc.file_name(), loc.line(), prim),
-                   comm_id_, coll_seq_);
+      sp.set_sync(lockstep_site_hash(loc.file_name(), loc.line(), prim),
+                  comm_id_, coll_seq_);
     }
     if (lockstep_) {
       ctx_->audit_slot(rank_) = make_lockstep_record(prim, coll_seq_, loc);
@@ -517,6 +508,19 @@ class Comm {
     ctx_->publish_barrier();
     ++coll_seq_;
     if (lockstep_) check_lockstep();
+    double t_max = 0.0;
+    std::size_t m = 0;  // the largest published payload
+    for (int r = 0; r < size_; ++r) {
+      t_max = std::max(t_max, ctx_->time_slot(r));
+      m = std::max(m, ctx_->slot(r).size());
+    }
+    auto out = read();
+    const double comm_cost = cost(m);
+    ctx_->read_barrier();
+    clock_->wait_until(t_max);
+    clock_->add_comm(comm_cost);
+    ctx_->reuse_barrier();
+    return out;
   }
 
   /// Cross-checks every rank's lockstep claim after the publish barrier,
@@ -549,18 +553,6 @@ class Comm {
     tracer_.instant("lockstep.divergence", "audit");
     tracer_.count("lockstep.divergence");
     throw LockstepError(std::move(report));
-  }
-
-  double max_published_time() const {
-    double t = 0.0;
-    for (int r = 0; r < size_; ++r) t = std::max(t, ctx_->time_slot(r));
-    return t;
-  }
-
-  /// Align this rank to the collective's start time and charge its cost.
-  void settle(double t_max, double comm_cost) {
-    clock_->wait_until(t_max);
-    clock_->add_comm(comm_cost);
   }
 
   int rank_;

@@ -373,12 +373,14 @@ BoundaryDerivation derive_voting(mp::Comm& comm, const NodeStats& local,
     for (const int attr : vd.candidates) {
       flat_len += voted_attr_len(local, attr);
     }
-    const auto blobs = comm.all_to_all_broadcast<std::byte>(blob);
-    std::vector<std::int64_t> sum(flat_len, 0);
-    for (const auto& b : blobs) {
-      const auto flat = decode_voted_stats(b, flat_len);
-      for (std::size_t i = 0; i < flat_len; ++i) sum[i] += flat[i];
-    }
+    const auto decode = [&](const std::vector<std::byte>& b) {
+      return decode_voted_stats(b, flat_len);
+    };
+    const auto sum = comm.all_fold(blob, decode, [&](auto acc, const auto& b) {
+      const auto flat = decode(b);
+      for (std::size_t i = 0; i < flat_len; ++i) acc[i] += flat[i];
+      return acc;
+    });
 
     // The replication method would have shipped every attribute's counts
     // as raw int64; the difference is what the vote saved this rank.

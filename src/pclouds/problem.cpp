@@ -204,14 +204,11 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
     bd = derive_replicated(comm, cfg_.combiner, global, want_alive, hooks_);
   } else {
     // Sketch mode did not ship interval statistics through the driver;
-    // combine them here with one broadcast + fold.
-    const auto blobs =
-        comm.all_to_all_broadcast<std::byte>(encode_stats(ctx.local));
-    std::vector<std::byte> acc = blobs[0];
-    for (int r = 1; r < comm.size(); ++r) {
-      acc = combine_stats_blobs(std::move(acc),
-                                blobs[static_cast<std::size_t>(r)]);
-    }
+    // combine them here with one allgather-fold.
+    const auto acc = comm.all_fold(
+        encode_stats(ctx.local),
+        [](const std::vector<std::byte>& b) { return b; },
+        combine_stats_blobs);
     NodeStats global = ctx.local;
     decode_stats(acc, global);
     bd = derive_replicated(comm, cfg_.combiner, global, want_alive, hooks_);

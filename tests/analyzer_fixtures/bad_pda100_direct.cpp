@@ -8,6 +8,8 @@ struct Comm {
   int size() const;
   void barrier();
   int all_reduce(int v);
+  template <class Seed, class Fold>
+  int all_fold(std::vector<char> mine, Seed seed, Fold fold);
 };
 
 // Direct: the branch condition reads rank() itself.
@@ -15,6 +17,17 @@ void divergent_direct(Comm& comm) {
   if (comm.rank() == 0) {
     comm.barrier();  // expect-PDA100
   }
+}
+
+// The allgather-fold is a collective like any other.
+int divergent_fold(Comm& comm, std::vector<char> blob) {
+  int acc = 0;
+  if (comm.rank() == 0) {
+    acc = comm.all_fold(  // expect-PDA100
+        blob, [](const std::vector<char>& b) { return int(b.size()); },
+        [](int a, const std::vector<char>& b) { return a + int(b.size()); });
+  }
+  return acc;
 }
 
 // Propagated: a variable assigned from rank() taints the condition.

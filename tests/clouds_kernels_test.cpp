@@ -97,6 +97,27 @@ TEST(Intervals, EquiDepthOnUniformSample) {
   }
 }
 
+TEST(Intervals, NanSampleValuesDoNotMoveTheBounds) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> u(-50.0f, 50.0f);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> clean;
+  std::vector<float> with_nans;
+  for (int i = 0; i < 2000; ++i) {
+    const float v = u(rng);
+    clean.push_back(v);
+    with_nans.push_back(v);
+    if (i % 3 == 0) with_nans.push_back(nan);
+  }
+  with_nans.push_back(nan);
+  for (int q : {2, 10, 200}) {
+    EXPECT_EQ(equi_depth_boundaries(with_nans, q),
+              equi_depth_boundaries(clean, q))
+        << "q=" << q;
+  }
+  EXPECT_TRUE(equi_depth_boundaries({nan, nan}, 10).empty());
+}
+
 TEST(Intervals, DegenerateSamples) {
   EXPECT_TRUE(equi_depth_boundaries({}, 10).empty());
   EXPECT_TRUE(equi_depth_boundaries({1.0f, 1.0f, 1.0f}, 10).size() <= 1);

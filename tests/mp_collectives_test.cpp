@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "mp/runtime.hpp"
@@ -81,6 +82,28 @@ TEST_P(CollectivesP, AllGatherConcatenatesInRankOrder) {
     auto all = comm.all_gather<int>(mine);
     ASSERT_EQ(all.size(), static_cast<std::size_t>(2 * p()));
     for (int i = 0; i < 2 * p(); ++i) EXPECT_EQ(all[i], i);
+  });
+}
+
+TEST_P(CollectivesP, AllFoldFoldsEverySlotInRankOrder) {
+  Runtime rt(p());
+  rt.run([&](Comm& comm) {
+    // Appending is not commutative: the result spells out the fold order.
+    // Rank r publishes r+1 bytes of value r.
+    using Bytes = std::vector<std::byte>;
+    const auto r = static_cast<std::size_t>(comm.rank());
+    const auto got = comm.all_fold(
+        Bytes(r + 1, std::byte(r)), [](const Bytes& b) { return b; },
+        [](Bytes acc, const Bytes& b) {
+          acc.insert(acc.end(), b.begin(), b.end());
+          return acc;
+        });
+    Bytes want;
+    for (int q = 0; q < p(); ++q) {
+      want.insert(want.end(), static_cast<std::size_t>(q + 1),
+                  std::byte(q));
+    }
+    EXPECT_EQ(got, want);
   });
 }
 
@@ -185,10 +208,19 @@ TEST(Collectives, Table1CostsAreChargedExactly) {
     (void)comm.all_to_all_broadcast<std::byte>(block);
     (void)comm.all_reduce<double>(1.0);
     (void)comm.prefix_sum<double>(1.0);
+    // Unequal blocks: the fold is charged by the largest one.
+    const auto mine =
+        std::vector<std::byte>(16 * static_cast<std::size_t>(comm.rank() + 1));
+    (void)comm.all_fold(
+        mine, [](const std::vector<std::byte>& b) { return b.size(); },
+        [](std::size_t acc, const std::vector<std::byte>& b) {
+          return acc + b.size();
+        });
   });
   const double expected = cost.all_to_all_broadcast(p, 256) +
                           cost.global_combine(p, sizeof(double)) +
-                          cost.prefix_sum(p, sizeof(double));
+                          cost.prefix_sum(p, sizeof(double)) +
+                          cost.all_to_all_broadcast(p, 16 * p);
   for (const auto& c : report.clocks) {
     EXPECT_DOUBLE_EQ(c.comm_s, expected);
   }
@@ -206,6 +238,43 @@ TEST(Collectives, SingleRankCollectivesAreFreeAndCorrect) {
     comm.barrier();
   });
   EXPECT_DOUBLE_EQ(report.clocks[0].comm_s, 0.0);
+}
+
+// An all_fold whose fold throws on rank `thrower` of `comm`; every rank then
+// enters further collectives, which must unblock instead of hanging.
+void fold_throwing_on(Comm& comm, int thrower) {
+  (void)comm.all_fold(
+      std::vector<std::byte>(8),
+      [](const std::vector<std::byte>& b) { return b.size(); },
+      [&](std::size_t acc, const std::vector<std::byte>& b) {
+        if (comm.rank() == thrower) throw std::runtime_error("fold");
+        return acc + b.size();
+      });
+  comm.barrier();
+}
+
+TEST(Collectives, AllFoldThrowOnOneRankUnblocksEveryone) {
+  Runtime rt(4);
+  EXPECT_THROW(rt.run([&](Comm& world) {
+                 fold_throwing_on(world, 2);
+                 world.barrier();
+               }),
+               std::runtime_error);
+}
+
+TEST(Collectives, AllFoldThrowInsideGroupUnblocksEveryone) {
+  Runtime rt(4);
+  EXPECT_THROW(rt.run([&](Comm& world) {
+                 Comm sub = world.split(world.rank() % 2);
+                 // Group 1 is world ranks {1, 3}; its rank 0 is world rank 1.
+                 if (world.rank() % 2 == 1) {
+                   fold_throwing_on(sub, 0);
+                 } else {
+                   sub.barrier();
+                 }
+                 world.barrier();
+               }),
+               std::runtime_error);
 }
 
 TEST(Collectives, ManyCollectivesBackToBackDoNotInterfere) {
