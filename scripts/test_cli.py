@@ -48,6 +48,7 @@ class RejectsBadArguments(unittest.TestCase):
         (["--pipeline", "maybe"], "--pipeline"),
         (["--inject", "disk_write:rank=bogus"], "--inject"),
         (["--inject", "warp_core:op=1"], "--inject"),
+        (["--inject", "comm_p2p:op=1"], "--inject"),
         (["--resume"], "--scratch"),
     ]
 

@@ -19,7 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 FaultSite parse_site(std::string_view text) {
   if (text == "disk_read") return FaultSite::kDiskRead;
   if (text == "disk_write") return FaultSite::kDiskWrite;
-  if (text == "comm_p2p") return FaultSite::kCommP2p;
   if (text == "comm_coll") return FaultSite::kCommCollective;
   throw std::invalid_argument("FaultPlan: unknown site '" + std::string(text) +
                               "'");
@@ -44,8 +43,6 @@ std::string_view site_name(FaultSite site) {
       return "disk_read";
     case FaultSite::kDiskWrite:
       return "disk_write";
-    case FaultSite::kCommP2p:
-      return "comm_p2p";
     case FaultSite::kCommCollective:
       return "comm_coll";
   }
@@ -149,8 +146,7 @@ FaultPlan FaultPlan::seeded(std::uint64_t seed, std::string_view site_class,
       spec.times = 1 + static_cast<int>(splitmix64(state) % 6);
     }
   } else if (site_class == "comm") {
-    spec.site = splitmix64(state) % 4 == 0 ? FaultSite::kCommP2p
-                                           : FaultSite::kCommCollective;
+    spec.site = FaultSite::kCommCollective;
     spec.op = 1 + splitmix64(state) % 60;
   } else {
     throw std::invalid_argument("FaultPlan::seeded: unknown site class '" +
@@ -217,11 +213,10 @@ DiskAction RankFault::on_disk_locked(bool is_write, double now_s) {
   return DiskAction::kProceed;
 }
 
-void RankFault::on_comm(std::string_view prim, bool collective) {
+void RankFault::on_comm(std::string_view prim) {
   if (!enabled()) return;
   LockGuard lock(mu_);
-  const FaultSite site =
-      collective ? FaultSite::kCommCollective : FaultSite::kCommP2p;
+  const FaultSite site = FaultSite::kCommCollective;
   ++ops_[static_cast<std::size_t>(site)];
   for (std::size_t i = 0; i < plan_->specs().size(); ++i) {
     const auto& spec = plan_->specs()[i];

@@ -32,13 +32,12 @@
 
 namespace pdc::fault {
 
-/// Where a fault strikes.  Disk sites are per-request; comm sites are
-/// per-primitive (p2p = send/recv, collective = everything else).
+/// Where a fault strikes.  Disk sites are per-request; the comm site is
+/// per-collective.
 enum class FaultSite : int {
   kDiskRead = 0,
   kDiskWrite = 1,
-  kCommP2p = 2,
-  kCommCollective = 3,
+  kCommCollective = 2,
 };
 
 std::string_view site_name(FaultSite site);
@@ -77,7 +76,7 @@ class FaultPlan {
 
   /// Parses the CLI grammar: specs separated by ';', each
   ///   site[:key=value]...
-  /// with site in {disk_read, disk_write, comm_p2p, comm_coll} and keys
+  /// with site in {disk_read, disk_write, comm_coll} and keys
   ///   rank=N  op=N  times=N  after=SECONDS  torn
   /// e.g. "disk_write:rank=1:op=5:times=2;comm_coll:op=40".
   /// Throws std::invalid_argument on malformed input.
@@ -153,9 +152,9 @@ class RankFault {
   /// the request's issue-time snapshot instead.
   DiskAction on_disk(bool is_write, double now_s);
 
-  /// Consult at the entry of a communication primitive; throws CommFault
-  /// when an armed spec fires.
-  void on_comm(std::string_view prim, bool collective);
+  /// Consult at the entry of a collective; throws CommFault when an armed
+  /// spec fires.
+  void on_comm(std::string_view prim);
 
   /// Failures injected on this rank so far (all sites).
   std::uint64_t injected() const {
@@ -178,7 +177,7 @@ class RankFault {
   const mp::Clock* clock_ = nullptr;
   mutable Mutex mu_;
   /// Per-site operation counters.
-  std::array<std::uint64_t, 4> ops_ PDC_GUARDED_BY(mu_) = {};
+  std::array<std::uint64_t, 3> ops_ PDC_GUARDED_BY(mu_) = {};
   /// Per spec: -1 = not yet triggered, otherwise failing attempts left.
   std::vector<int> remaining_ PDC_GUARDED_BY(mu_);
   std::uint64_t injected_ PDC_GUARDED_BY(mu_) = 0;

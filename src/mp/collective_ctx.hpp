@@ -12,15 +12,21 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 
 #include "mp/lockstep.hpp"
-#include "mp/mailbox.hpp"  // AbortError
 
 namespace pdc::mp {
+
+/// Thrown out of blocking operations when the runtime aborts the program
+/// because some rank raised an exception.
+struct AbortError : std::runtime_error {
+  AbortError() : std::runtime_error("pdc::mp program aborted") {}
+};
 
 /// Central sense-reversing barrier over `n` participants, abortable.
 class CentralBarrier {

@@ -2,9 +2,9 @@
 
 // Comm: the per-rank handle of the SPMD message-passing runtime.
 //
-// Point-to-point messages go through real mailboxes; collectives rendezvous
-// through shared slots.  Every operation advances the rank's modeled Clock by
-// the cost-model formulas (Table 1 of the paper), so `clock().total()` is the
+// Ranks communicate only through collectives, which rendezvous through
+// shared slots.  Every collective advances the rank's modeled Clock by the
+// cost-model formulas (Table 1 of the paper), so `clock().total()` is the
 // rank's position on the modeled parallel timeline.
 //
 // All collectives must be entered by every rank of the communicator, in the
@@ -33,12 +33,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/wire.hpp"
 #include "fault/fault.hpp"
 #include "mp/clock.hpp"
 #include "mp/collective_ctx.hpp"
 #include "mp/lockstep.hpp"
 #include "mp/cost_model.hpp"
-#include "mp/mailbox.hpp"
 #include "mp/serialize.hpp"
 #include "obs/trace.hpp"
 
@@ -53,9 +53,8 @@ inline constexpr std::uint64_t kWorldCommId = 1469598103934665603ull;
 
 class Comm {
  public:
-  Comm(int rank, int size, const CostModel* cost,
-       std::vector<Mailbox>* mailboxes, CollectiveContext* ctx, Clock* clock,
-       SplitArena* arena = nullptr,
+  Comm(int rank, int size, const CostModel* cost, CollectiveContext* ctx,
+       Clock* clock, SplitArena* arena = nullptr,
        std::shared_ptr<const std::vector<int>> group = nullptr,
        std::shared_ptr<CollectiveContext> owned_ctx = nullptr,
        obs::RankTracer tracer = {}, fault::RankFault* fault = nullptr,
@@ -63,7 +62,6 @@ class Comm {
       : rank_(rank),
         size_(size),
         cost_(cost),
-        mailboxes_(mailboxes),
         ctx_(ctx),
         clock_(clock),
         arena_(arena),
@@ -111,8 +109,8 @@ class Comm {
   /// Splits this communicator into subgroups (collective, like
   /// MPI_Comm_split): all ranks with the same `color` form a new
   /// communicator, ordered by (key, old rank); key defaults to the old
-  /// rank.  Point-to-point and collectives on the result are scoped to the
-  /// subgroup.  Costs one small all-to-all broadcast on the parent.
+  /// rank.  Collectives on the result are scoped to the subgroup.  Costs
+  /// one small all-to-all broadcast on the parent.
   Comm split(int color, int key = -1,
              std::source_location loc = std::source_location::current()) {
     struct ColorKey {
@@ -144,64 +142,14 @@ class Comm {
     const std::uint64_t generation = split_generation_++;
     auto sub_ctx = arena_->get_or_create(ctx_, generation, color, group_size);
     CollectiveContext* sub_ctx_raw = sub_ctx.get();
-    Comm sub(my_pos, group_size, cost_, mailboxes_, sub_ctx_raw, clock_,
-             arena_, std::move(members), std::move(sub_ctx), tracer_, fault_,
+    Comm sub(my_pos, group_size, cost_, sub_ctx_raw, clock_, arena_,
+             std::move(members), std::move(sub_ctx), tracer_, fault_,
              child_comm_id(comm_id_, generation,
                            static_cast<std::uint64_t>(color)));
     // The subgroup inherits auditing; its collective sequence restarts at
     // zero uniformly across members.
     sub.lockstep_ = lockstep_;
     return sub;
-  }
-
-  // ---------------------------------------------------------------- p2p ---
-
-  template <Wireable T>
-  void send(int dest, int tag, std::span<const T> data) {
-    auto sp = prim_span("send", data.size_bytes(), /*collective=*/false);
-    Message msg;
-    msg.src = global_rank();
-    msg.tag = tag;
-    msg.payload = to_bytes(data);
-    msg.seq = (*mailboxes_)[static_cast<std::size_t>(global_rank())]
-                  .next_send_seq();
-    sp.set_channel(static_cast<std::uint64_t>(to_global(dest)), msg.seq);
-    clock_->add_comm(cost_->point_to_point(msg.payload.size()));
-    msg.arrival_time = clock_->total();
-    (*mailboxes_)[static_cast<std::size_t>(to_global(dest))].put(
-        std::move(msg));
-  }
-
-  template <Wireable T>
-  void send_value(int dest, int tag, const T& value) {
-    send(dest, tag, std::span<const T>(&value, 1));
-  }
-
-  /// Receive a vector of T from (src, tag); kAnySource/kAnyTag wildcards are
-  /// allowed.  Sets *actual_src if provided.
-  template <Wireable T>
-  std::vector<T> recv(int src, int tag, int* actual_src = nullptr) {
-    auto sp = prim_span("recv", obs::kNoArg, /*collective=*/false);
-    Message msg =
-        (*mailboxes_)[static_cast<std::size_t>(global_rank())].take(
-            src == kAnySource ? kAnySource : to_global(src), tag);
-    sp.set_bytes(msg.payload.size());
-    sp.set_channel(static_cast<std::uint64_t>(msg.src), msg.seq);
-    clock_->wait_until(msg.arrival_time);
-    clock_->add_comm(cost_->machine().tau);  // receive-side overhead
-    if (actual_src) *actual_src = to_local(msg.src);
-    return from_bytes<T>(msg.payload);
-  }
-
-  template <Wireable T>
-  T recv_value(int src, int tag, int* actual_src = nullptr) {
-    auto v = recv<T>(src, tag, actual_src);
-    return v.at(0);
-  }
-
-  bool probe(int src, int tag) const {
-    return (*mailboxes_)[static_cast<std::size_t>(global_rank())].probe(
-        src == kAnySource ? kAnySource : to_global(src), tag);
   }
 
   // -------------------------------------------------------- collectives ---
@@ -322,7 +270,8 @@ class Comm {
         [&](std::size_t) { return cost_->global_combine(size_, sizeof(T)); });
   }
 
-  /// Element-wise global combine of equal-length vectors.
+  /// Element-wise global combine of equal-length vectors.  Every rank
+  /// throws the same WireError if the ranks' lengths differ.
   template <Wireable T, class Op = std::plus<T>>
   std::vector<T> all_reduce_vec(
       std::span<const T> mine, Op op = Op{},
@@ -333,6 +282,9 @@ class Comm {
           std::vector<T> acc = from_bytes<T>(ctx_->slot(0));
           for (int r = 1; r < size_; ++r) {
             const auto other = from_bytes<T>(ctx_->slot(r));
+            if (other.size() != acc.size()) {
+              throw WireError("mp: all_reduce_vec lengths differ across ranks");
+            }
             for (std::size_t i = 0; i < acc.size(); ++i) {
               acc[i] = op(std::move(acc[i]), other[i]);
             }
@@ -398,8 +350,9 @@ class Comm {
       frame.insert(frame.end(), bytes.begin(), bytes.end());
     }
     std::size_t max_pair_bytes = 0;
+    const std::uint64_t bytes = frame.size();
     return rendezvous(
-        "all_to_all", obs::kNoArg, std::move(frame), loc,
+        "all_to_all", bytes, std::move(frame), loc,
         [&] {
           const auto p = static_cast<std::size_t>(size_);
           const auto me = static_cast<std::size_t>(rank_);
@@ -425,17 +378,15 @@ class Comm {
   }
 
  private:
-  /// Span guard + per-primitive metrics for one collective (or p2p) call.
+  /// Span guard + per-primitive metrics for one collective call.
   /// Resolves to no work at all when the tracer is disabled.  This is also
   /// the fault-injection point: it runs before the primitive publishes
   /// anything, so an injected CommFault leaves the collective context
   /// untouched and the runtime's abort path can unwind every other rank.
-  obs::SpanGuard prim_span(std::string_view prim,
-                           std::uint64_t bytes = obs::kNoArg,
-                           bool collective = true) {
+  obs::SpanGuard prim_span(std::string_view prim, std::uint64_t bytes) {
     if (fault_ && fault_->enabled()) {
       try {
-        fault_->on_comm(prim, collective);
+        fault_->on_comm(prim);
       } catch (...) {
         tracer_.count("fault.comm_injected");
         throw;
@@ -472,20 +423,11 @@ class Comm {
     return group_ ? (*group_)[static_cast<std::size_t>(r)] : r;
   }
 
-  int to_local(int global) const {
-    if (!group_) return global;
-    for (std::size_t i = 0; i < group_->size(); ++i) {
-      if ((*group_)[i] == global) return static_cast<int>(i);
-    }
-    return global;  // message from outside the group: report global id
-  }
-
   /// The one rendezvous every collective runs: publish the payload and the
   /// modeled time, audit lockstep, `read()` the slots and price the call
   /// with its Table-1 `cost(largest payload)` while every slot is live,
   /// then charge the cost from the latest arrival.  `bytes` is the span's
-  /// arg and an mp.primitive_bytes sample; with obs::kNoArg nothing is
-  /// sampled and the span carries the published size, if any.
+  /// arg and an mp.primitive_bytes sample; obs::kNoArg records neither.
   template <class Read, class Cost>
   std::invoke_result_t<Read&> rendezvous(std::string_view prim,
                                          std::uint64_t bytes,
@@ -493,7 +435,6 @@ class Comm {
                                          const std::source_location& loc,
                                          Read read, Cost cost) {
     auto sp = prim_span(prim, bytes);
-    if (bytes == obs::kNoArg && !payload.empty()) sp.set_bytes(payload.size());
     if (tracer_.enabled()) {
       // Stamp the span with this collective's cross-rank identity so the
       // profiler can align it with the other members' spans offline.
@@ -558,7 +499,6 @@ class Comm {
   int rank_;
   int size_;
   const CostModel* cost_;
-  std::vector<Mailbox>* mailboxes_;
   CollectiveContext* ctx_;
   Clock* clock_;
   SplitArena* arena_ = nullptr;

@@ -25,9 +25,10 @@
 // PDC_LOCKSTEP=0|1 environment variable or Runtime::set_lockstep overrides.
 //
 // Limits: the auditor detects *divergent* collectives, where every rank
-// still reaches a collective rendezvous.  A rank that blocks in p2p recv()
-// (or never calls anything) while the others enter a collective is a
-// deadlock the auditor cannot turn into a report.
+// still reaches a collective rendezvous.  Collectives are the only
+// blocking calls, so a rank can hang the run only by never calling one
+// while the others enter it; that deadlock the auditor cannot turn into a
+// report.
 
 #include <cstdint>
 #include <source_location>

@@ -25,7 +25,6 @@
 #include "mp/comm.hpp"
 #include "mp/cost_model.hpp"
 #include "mp/machine.hpp"
-#include "mp/mailbox.hpp"
 #include "obs/trace.hpp"
 
 namespace pdc::mp {

@@ -113,10 +113,9 @@ TEST(RankFault, TornWriteFiresOnceAndOnlyOnWrites) {
 TEST(RankFault, CommFaultThrowsAtTheMatchingPrimitive) {
   const auto plan = FaultPlan::parse("comm_coll:op=2");
   RankFault f(&plan, 0, nullptr);
-  EXPECT_NO_THROW(f.on_comm("barrier", /*collective=*/true));
-  EXPECT_NO_THROW(f.on_comm("send", /*collective=*/false));  // p2p site
-  EXPECT_THROW(f.on_comm("all_reduce", true), CommFault);
-  EXPECT_NO_THROW(f.on_comm("all_reduce", true));  // spec spent
+  EXPECT_NO_THROW(f.on_comm("barrier"));
+  EXPECT_THROW(f.on_comm("all_reduce"), CommFault);
+  EXPECT_NO_THROW(f.on_comm("all_reduce"));  // spec spent
 }
 
 // ---- LocalDisk retry / torn writes ----
@@ -280,23 +279,6 @@ TEST(CommFaults, InjectedCollectiveFaultAbortsEveryRank) {
                CommFault);
 }
 
-TEST(CommFaults, InjectedP2pFaultAbortsTheRun) {
-  const auto plan = FaultPlan::parse("comm_p2p:rank=1:op=1");
-  mp::Runtime rt(2);
-  EXPECT_THROW(rt.run(
-                   [&](mp::Comm& comm) {
-                     if (comm.rank() == 0) {
-                       comm.send_value<int>(1, 0, 42);
-                       comm.recv_value<int>(1, 1);
-                     } else {
-                       comm.recv_value<int>(0, 0);
-                       comm.send_value<int>(0, 1, 43);
-                     }
-                   },
-                   nullptr, &plan),
-               CommFault);
-}
-
 // ---- end-to-end: training under faults, checkpoint/restart ----
 
 struct TrainResult {
@@ -399,9 +381,12 @@ TEST(CheckpointRestart, ResumeWithoutSnapshotsStartsFresh) {
 // The seeded scenario matrix: 8 seeds x {disk, comm}.  Every scenario
 // either rides through (transient faults absorbed by retries; the tree is
 // untouched) or dies — and then a restart over the same disks must land on
-// the fault-free tree.  The site class is a std::string, not a const char*:
-// gtest prints a pointer parameter as its address, which ASLR changes on
-// every run, so the listed test names would never be the same twice.
+// the fault-free tree.  A comm scenario always dies: it fails one of a
+// rank's first 60 collectives, and training enters more than that, so a
+// comm cell that rides through tested nothing.  The site class is a
+// std::string, not a const char*: gtest prints a pointer parameter as its
+// address, which ASLR changes on every run, so the listed test names would
+// never be the same twice.
 class FaultMatrix
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
@@ -435,6 +420,9 @@ TEST_P(FaultMatrix, EveryScenarioEndsInTheFaultFreeTree) {
   }
   EXPECT_EQ(outcome, reference)
       << "seed=" << seed << " class=" << site_class << " died=" << died;
+  if (site_class == "comm") {
+    EXPECT_TRUE(died) << "seed=" << seed << ": " << plan.to_string();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 // Collective-operation tests: results match a serial reference for every
 // primitive, across a sweep of processor counts, and modeled clocks are
-// charged per Table 1 and synchronized at every collective.
+// charged per Table 1 and synchronized at every collective.  Also the
+// runtime's own contract: error propagation and the run report.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/wire.hpp"
 #include "mp/runtime.hpp"
 
 namespace pdc::mp {
@@ -277,6 +279,25 @@ TEST(Collectives, AllFoldThrowInsideGroupUnblocksEveryone) {
                std::runtime_error);
 }
 
+TEST(Collectives, ExceptionInCollectivePropagates) {
+  Runtime rt(4);
+  EXPECT_THROW(rt.run([&](Comm& comm) {
+                 if (comm.rank() == 0) throw std::logic_error("bad");
+                 comm.barrier();
+               }),
+               std::logic_error);
+}
+
+TEST(Collectives, AllReduceVecRejectsUnequalLengths) {
+  Runtime rt(4);
+  EXPECT_THROW(rt.run([&](Comm& comm) {
+                 const std::vector<int> mine(comm.rank() == 2 ? 4 : 5, 1);
+                 (void)comm.all_reduce_vec<int>(mine);
+                 comm.barrier();
+               }),
+               WireError);
+}
+
 TEST(Collectives, ManyCollectivesBackToBackDoNotInterfere) {
   Runtime rt(6);
   rt.run([&](Comm& comm) {
@@ -286,6 +307,28 @@ TEST(Collectives, ManyCollectivesBackToBackDoNotInterfere) {
       EXPECT_EQ(s, 6L * i + ranks);
     }
   });
+}
+
+TEST(Runtime, RejectsNonPositiveProcessorCount) {
+  EXPECT_THROW(Runtime(0), std::invalid_argument);
+  EXPECT_THROW(Runtime(-3), std::invalid_argument);
+}
+
+TEST(Runtime, ReportBalanceIsOneWhenUniform) {
+  Runtime rt(4);
+  auto report = rt.run([&](Comm& comm) { comm.clock().add_compute(2.0); });
+  EXPECT_DOUBLE_EQ(report.balance(), 1.0);
+  EXPECT_DOUBLE_EQ(report.max_compute(), 2.0);
+  EXPECT_DOUBLE_EQ(report.parallel_time(), 2.0);
+}
+
+TEST(Runtime, ReportBalanceDropsWhenSkewed) {
+  Runtime rt(4);
+  auto report = rt.run([&](Comm& comm) {
+    comm.clock().add_compute(comm.rank() == 0 ? 4.0 : 1.0);
+  });
+  // mean busy = (4+1+1+1)/4 = 1.75, max = 4.
+  EXPECT_DOUBLE_EQ(report.balance(), 1.75 / 4.0);
 }
 
 }  // namespace

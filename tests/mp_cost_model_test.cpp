@@ -34,13 +34,6 @@ TEST(Topology, HypercubeNeighbor) {
   EXPECT_EQ(hypercube_neighbor(7, 2), 3);
 }
 
-TEST(CostModel, PointToPointIsTauPlusMuM) {
-  Machine m;
-  CostModel c(m);
-  EXPECT_DOUBLE_EQ(c.point_to_point(0), m.tau);
-  EXPECT_DOUBLE_EQ(c.point_to_point(1000), m.tau + m.mu * 1000);
-}
-
 TEST(CostModel, Table1Formulas) {
   Machine m;
   CostModel c(m);

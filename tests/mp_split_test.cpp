@@ -1,6 +1,6 @@
 // Tests for communicator splitting (Comm::split): group formation, rank
-// ordering, scoped collectives and point-to-point, nesting, and clock
-// semantics.
+// ordering, scoped collectives and personalized exchange, nesting, and
+// clock semantics.
 
 #include <gtest/gtest.h>
 
@@ -49,18 +49,25 @@ TEST(Split, CollectivesScopedToGroup) {
   });
 }
 
-TEST(Split, PointToPointUsesGroupRanks) {
+TEST(Split, AllToAllUsesGroupRanks) {
   Runtime rt(6);
   rt.run([&](Comm& world) {
     Comm sub = world.split(world.rank() % 2);
-    // Ring within the subgroup.
+    // Ring within the subgroup: each member addresses only its successor.
     const int next = (sub.rank() + 1) % sub.size();
-    sub.send_value<int>(next, 5, sub.rank() * 100);
-    int src = -1;
-    const int got = sub.recv_value<int>(
-        (sub.rank() + sub.size() - 1) % sub.size(), 5, &src);
-    EXPECT_EQ(got, ((sub.rank() + sub.size() - 1) % sub.size()) * 100);
-    EXPECT_EQ(src, (sub.rank() + sub.size() - 1) % sub.size());
+    const int prev = (sub.rank() + sub.size() - 1) % sub.size();
+    std::vector<std::vector<int>> out(static_cast<std::size_t>(sub.size()));
+    out[static_cast<std::size_t>(next)] = {sub.rank() * 100};
+    const auto in = sub.all_to_all<int>(out);
+    ASSERT_EQ(in.size(), static_cast<std::size_t>(sub.size()));
+    for (int s = 0; s < sub.size(); ++s) {
+      const auto& got = in[static_cast<std::size_t>(s)];
+      if (s == prev) {
+        EXPECT_EQ(got, std::vector<int>{prev * 100});
+      } else {
+        EXPECT_TRUE(got.empty());
+      }
+    }
   });
 }
 
