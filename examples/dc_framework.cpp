@@ -17,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dc/driver.hpp"
@@ -40,9 +41,11 @@ class RangeSortProblem final : public DcProblem<std::uint64_t> {
 
   std::vector<std::byte> local_stats(const Scan& scan, const Task&) override {
     Range r;
-    scan([&](const std::uint64_t& v) {
-      r.lo = std::min(r.lo, v);
-      r.hi = std::max(r.hi, v);
+    scan([&](std::span<const std::uint64_t> blk) {
+      for (const std::uint64_t v : blk) {
+        r.lo = std::min(r.lo, v);
+        r.hi = std::max(r.hi, v);
+      }
     });
     return pdc::mp::to_bytes(r);
   }
@@ -65,8 +68,12 @@ class RangeSortProblem final : public DcProblem<std::uint64_t> {
     ranges_[task.id] = r;
     if (r.lo == r.hi) return std::nullopt;  // constant run: nothing to do
     const std::uint64_t mid = r.lo + (r.hi - r.lo) / 2;
-    return Router(
-        [mid](const std::uint64_t& v) { return v <= mid ? 0 : 1; });
+    return Router{[mid](std::span<const std::uint64_t> blk,
+                        std::span<std::uint8_t> child) {
+      for (std::size_t i = 0; i < blk.size(); ++i) {
+        child[i] = blk[i] <= mid ? 0 : 1;
+      }
+    }};
   }
 
   void on_leaf(pdc::mp::Comm& comm, const Task& task) override {

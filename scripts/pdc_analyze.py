@@ -577,7 +577,9 @@ def scan_regions(code: str):
     regions = []
     # Any *scan*-named call taking a lambda, directly or curried
     # (`open_scan(args)([&] ...)`): the tree binds each io::RecordScan to a
-    # variable named `scan` and calls `scan([&](const T& r) {...})`.  A
+    # variable named `scan` and calls `scan([&](std::span<const T> blk)
+    # {...})` once per block, so the whole callback body -- the per-record
+    # loop over `blk` included -- is the region.  A
     # callback bound to a named variable first, or a scan value whose name
     # lacks "scan" (a temporary `RecordScan<T>(...)(...)`), is invisible
     # to the reduced mode (documented limitation).

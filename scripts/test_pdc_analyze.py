@@ -97,6 +97,8 @@ class Report(unittest.TestCase):
         reasons = [z["reason"] for z in report["incore_zones"]]
         self.assertIn("fixture pre-drawn sample: bounded by the sample "
                       "rate", reasons)
+        self.assertIn("fixture block-form sample: bounded by the sample "
+                      "rate", reasons)
 
     def test_io_wrappers_are_inventoried_with_reasons(self):
         _, report = analyze_fixture("bad_pda300_io.cpp")

@@ -170,9 +170,11 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
   data::ClassCounts root_counts{};
   {
     const RecordScan scan(disk, file, block, cfg_.pipeline);
-    scan([&](const data::Record& r) {
-      ++root_counts[static_cast<std::size_t>(r.label)];
-      hooks_.charge_scan(1);
+    scan([&](std::span<const data::Record> blk) {
+      for (const auto& r : blk) {
+        ++root_counts[static_cast<std::size_t>(r.label)];
+      }
+      hooks_.charge_scan_each(blk.size(), 1);
     });
   }
 
@@ -230,15 +232,19 @@ DecisionTree CloudsBuilder::build_out_of_core(io::LocalDisk& disk,
     {
       io::BlockWriter<data::Record> lw(disk, lfile, block, cfg_.pipeline);
       io::BlockWriter<data::Record> rw(disk, rfile, block, cfg_.pipeline);
-      scan([&](const data::Record& r) {
-        if (best.split.goes_left(r)) {
-          lw.append(r);
-          ++lcounts[static_cast<std::size_t>(r.label)];
-        } else {
-          rw.append(r);
-          ++rcounts[static_cast<std::size_t>(r.label)];
+      // Each record is charged right after its append: the writers stamp
+      // the clock when they enqueue a full block.
+      scan([&](std::span<const data::Record> blk) {
+        for (const auto& r : blk) {
+          if (best.split.goes_left(r)) {
+            lw.append(r);
+            ++lcounts[static_cast<std::size_t>(r.label)];
+          } else {
+            rw.append(r);
+            ++rcounts[static_cast<std::size_t>(r.label)];
+          }
+          hooks_.charge_scan(1);
         }
-        hooks_.charge_scan(1);
       });
       stats_.records_scanned += n;
       lw.close();

@@ -37,10 +37,23 @@ struct CostHooks {
 
   /// One streaming pass touching `record_attrs` record-attribute pairs.
   void charge_scan(std::uint64_t record_attrs) const {
-    if (clock) {
-      clock->add_compute(machine.cpu_scan_op *
-                         static_cast<double>(record_attrs));
-    }
+    if (clock) clock->add_compute(scan_cost(record_attrs));
+  }
+
+  /// `records` scan charges of `record_attrs` each, added one at a time:
+  /// a pass that works a block at a time replays the additions of a
+  /// record-at-a-time pass, so the modeled clock rounds identically.
+  void charge_scan_each(std::size_t records,
+                        std::uint64_t record_attrs) const {
+    if (!clock) return;
+    const double s = scan_cost(record_attrs);
+    for (std::size_t i = 0; i < records; ++i) clock->add_compute(s);
+  }
+
+  /// What charge_scan(record_attrs) adds to the clock (0 without one).
+  double scan_cost(std::uint64_t record_attrs) const {
+    return clock ? machine.cpu_scan_op * static_cast<double>(record_attrs)
+                 : 0.0;
   }
 
   /// `evals` gini evaluations at candidate points.

@@ -18,15 +18,22 @@ NodeStats NodeStats::with_boundaries(std::span<const data::Record> sample,
   return stats;
 }
 
+void accumulate_stats(const RecordScan& scan, NodeStats& stats,
+                      const CostHooks& hooks) {
+  // Per-block charging (not one bulk charge after the pass) so compute
+  // accrues between block reaps — what the async pipeline hides I/O under.
+  const auto lookups = stats.lookups();
+  scan([&](std::span<const data::Record> blk) {
+    stats.add_block(blk, lookups);
+    hooks.charge_scan_each(blk.size(),
+                           static_cast<std::uint64_t>(data::kNumAttributes));
+  });
+}
+
 void collect_stats(const RecordScan& scan, NodeStats& stats,
                    const CostHooks& hooks) {
   auto sp = hooks.span("histogram-build", "clouds");
-  // Per-record charging (not one bulk charge after the pass) so compute
-  // accrues between block reaps — what the async pipeline hides I/O under.
-  scan([&](const data::Record& r) {
-    stats.add(r);
-    hooks.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-  });
+  accumulate_stats(scan, stats, hooks);
   sp.set_n(scan.count());
 }
 
@@ -233,14 +240,14 @@ SplitCandidate sse_split(const NodeStats& stats, const RecordScan& scan,
           static_cast<std::size_t>(data::total(alive[k].inside)));
     }
     const AliveIndex index(alive);
-    scan([&](const data::Record& r) {
-      index.for_each(r, [&](std::size_t k, float v) {
+    scan([&](std::span<const data::Record> blk) {
+      index.for_each_block(blk, [&](std::size_t i, std::size_t k, float v) {
         // pdc: incore(alive point harvest: survival-bounded, one bucket per interval, freed after evaluation)
-        buckets[k].push_back({v, r.label});
+        buckets[k].push_back({v, blk[i].label});
         harvest_mem.add(sizeof(AlivePoint));
         ++harvested;
       });
-      hooks.charge_scan(alive.size());
+      hooks.charge_scan_each(blk.size(), alive.size());
     });
 
     for (std::size_t k = 0; k < alive.size(); ++k) {

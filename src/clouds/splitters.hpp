@@ -9,6 +9,8 @@
 // pass over the node's data; SSE makes one further pass to gather the
 // points of alive intervals.
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -38,23 +40,67 @@ struct NodeStats {
   static NodeStats with_boundaries(std::span<const data::Record> sample,
                                    int q);
 
-  /// Adds one record to every histogram and count matrix.  Inline: it is
-  /// the per-record body of every statistics pass.
-  void add(const data::Record& r) {
-    for (int a = 0; a < data::kNumNumeric; ++a) {
-      hists[static_cast<std::size_t>(a)].add(
-          r.num[static_cast<std::size_t>(a)], r.label);
+  /// One interval lookup per numeric attribute, for a pass that adds
+  /// records to these stats: build them when the pass starts and drop them
+  /// when it ends.
+  std::vector<IntervalLookup> lookups() const {
+    std::vector<IntervalLookup> out;
+    out.reserve(hists.size());
+    for (const auto& h : hists) out.emplace_back(h.bounds);
+    return out;
+  }
+
+  /// Adds a block of records to every histogram and count matrix, one
+  /// attribute at a time; `lookups` come from lookups().
+  void add_block(std::span<const data::Record> block,
+                 std::span<const IntervalLookup> lookups) {
+    add_records<false>(block, {}, lookups);
+  }
+
+  /// Adds block[sel[0]], block[sel[1]], ...: one child's share of a block
+  /// that a partition pass routes.
+  void add_block(std::span<const data::Record> block,
+                 std::span<const std::uint32_t> sel,
+                 std::span<const IntervalLookup> lookups) {
+    add_records<true>(block, sel, lookups);
+  }
+
+ private:
+  template <bool kSelected>
+  void add_records(std::span<const data::Record> block,
+                   std::span<const std::uint32_t> sel,
+                   std::span<const IntervalLookup> lookups) {
+    const std::size_t n = kSelected ? sel.size() : block.size();
+    const auto at = [&](std::size_t i) -> const data::Record& {
+      return kSelected ? block[sel[i]] : block[i];
+    };
+    for (std::size_t a = 0; a < hists.size(); ++a) {
+      auto* freq = hists[a].freq.data();
+      lookups[a].for_each(
+          n, [&](std::size_t i) { return at(i).num[a]; },
+          [&](std::size_t i, std::size_t j) {
+            ++freq[j][static_cast<std::size_t>(at(i).label)];
+          });
     }
-    for (auto& m : cats) m.add(r);
-    ++counts[static_cast<std::size_t>(r.label)];
+    for (auto& m : cats) {
+      for (std::size_t i = 0; i < n; ++i) m.add(at(i));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ++counts[static_cast<std::size_t>(at(i).label)];
+    }
   }
 };
 
 /// A node's records, in memory or streamed from the rank's disk.
 using RecordScan = io::RecordScan<data::Record>;
 
-/// One pass of `scan`, filling `stats` (whose boundaries must already be
-/// set).  This is the paper's "evaluation of interval boundaries" data scan.
+/// One pass of `scan` adding every record to `stats` (whose boundaries
+/// must already be set), charged per record, a block at a time.
+void accumulate_stats(const RecordScan& scan, NodeStats& stats,
+                      const CostHooks& hooks);
+
+/// accumulate_stats inside a "histogram-build" span.  This is the paper's
+/// "evaluation of interval boundaries" data scan.
 void collect_stats(const RecordScan& scan, NodeStats& stats,
                    const CostHooks& hooks);
 
@@ -81,20 +127,18 @@ struct AliveInterval {
   double gini_est = 0.0;
 
   bool contains(float v) const {
-    const bool above = unbounded_lo || v > lo;
-    const bool below = unbounded_hi || v <= hi;
-    return above && below;
+    const bool above = unbounded_lo | (v > lo);
+    const bool below = unbounded_hi | (v <= hi);
+    return above & below;
   }
 };
 
-/// Per-record lookup of the alive intervals a record falls in.  The alive
+/// Lookup of the alive intervals the records of a block fall in.  The alive
 /// list must be sorted by (attr, interval) — find_alive_intervals and the
 /// parallel share step both produce it so — which makes one attribute's
 /// intervals disjoint with strictly ascending upper edges.  A record then
 /// hits at most one interval per attribute: the first whose upper edge is
-/// not below the value, confirmed with AliveInterval::contains.  Hits are
-/// visited in ascending alive index, the order a scan of the whole list
-/// would find them in.
+/// not below the value, confirmed with AliveInterval::contains.
 class AliveIndex {
  public:
   explicit AliveIndex(std::span<const AliveInterval> alive) : alive_(alive) {
@@ -112,15 +156,39 @@ class AliveIndex {
     }
   }
 
-  /// Calls f(k, v) for every alive interval k containing the record's value
-  /// v of that interval's attribute, in ascending k.
+  /// Calls f(i, k, v) for every record block[i] and alive interval k that
+  /// contains the record's value v of k's attribute.  It runs one attribute
+  /// at a time across the block, so the search's trip count is fixed for
+  /// the whole run; each interval therefore sees its points in record
+  /// order, and each record its hits in ascending k.
+  ///
+  /// Each run first lists a chunk's hits without a data-dependent branch
+  /// (a value above every upper edge probes the attribute's last interval,
+  /// which then rejects it), then visits them.
   template <typename F>
-  void for_each(const data::Record& r, F&& f) const {
+  void for_each_block(std::span<const data::Record> block, F&& f) const {
+    constexpr std::size_t kChunk = 256;
+    std::array<std::uint32_t, kChunk> hit_i;
+    std::array<std::uint32_t, kChunk> hit_k;
     for (const auto& a : attrs_) {
-      const float v = r.num[static_cast<std::size_t>(a.attr)];
-      const std::size_t k = a.begin + lower_bound_index(hi_.data() + a.begin,
-                                                        a.end - a.begin, v);
-      if (k < a.end && alive_[k].contains(v)) f(k, v);
+      const float* hi = hi_.data() + a.begin;
+      const std::size_t n = a.end - a.begin;
+      const auto attr = static_cast<std::size_t>(a.attr);
+      for (std::size_t c = 0; c < block.size(); c += kChunk) {
+        const std::size_t end = std::min(block.size(), c + kChunk);
+        std::size_t hits = 0;
+        for (std::size_t i = c; i < end; ++i) {
+          const float v = block[i].num[attr];
+          const std::size_t k =
+              a.begin + std::min(lower_bound_index(hi, n, v), n - 1);
+          hit_i[hits] = static_cast<std::uint32_t>(i);
+          hit_k[hits] = static_cast<std::uint32_t>(k);
+          hits += alive_[k].contains(v) ? 1 : 0;
+        }
+        for (std::size_t h = 0; h < hits; ++h) {
+          f(hit_i[h], hit_k[h], block[hit_i[h]].num[attr]);
+        }
+      }
     }
   }
 

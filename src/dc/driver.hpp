@@ -176,13 +176,20 @@ class DcDriver {
       io::BlockWriter<T> lw(*disk_, left.file, block, cfg_.pipeline);
       io::BlockWriter<T> rw(*disk_, right.file, block, cfg_.pipeline);
       const io::RecordScan<T> scan(*disk_, parent.file, block, cfg_.pipeline);
-      scan([&](const T& rec) {
-        if (router(rec) == 0) {
-          lw.append(rec);
-          ++ln;
-        } else {
-          rw.append(rec);
-          ++rn;
+      mp::Clock& clock = comm.clock();
+      std::vector<std::uint8_t> child;
+      scan([&](std::span<const T> blk) {
+        child.resize(blk.size());
+        router.route(blk, child);
+        for (std::size_t i = 0; i < blk.size(); ++i) {
+          clock.add_compute(router.record_compute_s);
+          if (child[i] == 0) {
+            lw.append(blk[i]);
+            ++ln;
+          } else {
+            rw.append(blk[i]);
+            ++rn;
+          }
         }
       });
       lw.close();
@@ -424,12 +431,14 @@ class DcDriver {
     auto route_child = [&](const Pending& child, int base, int gsize) {
       std::uint64_t k = 0;
       const io::RecordScan<T> scan(*disk_, child.file, block, cfg_.pipeline);
-      scan([&](const T& rec) {
-        const auto dest = static_cast<std::size_t>(
-            base + static_cast<int>(k % static_cast<std::uint64_t>(gsize)));
-        // pdc: incore(redistribution staging: holds one local child slice for the subgroup all_to_all exchange)
-        outgoing[dest].push_back(rec);
-        ++k;
+      scan([&](std::span<const T> blk) {
+        for (const T& rec : blk) {
+          const auto dest = static_cast<std::size_t>(
+              base + static_cast<int>(k % static_cast<std::uint64_t>(gsize)));
+          // pdc: incore(redistribution staging: holds one local child slice for the subgroup all_to_all exchange)
+          outgoing[dest].push_back(rec);
+          ++k;
+        }
       });
       report_.records_redistributed += k;
       disk_->remove(child.file);

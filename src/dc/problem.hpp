@@ -10,15 +10,16 @@
 // partitioning and the parallelization strategy; the problem supplies the
 // domain logic through this interface:
 //
-//   local_stats  one streaming pass over the rank's slice of a task,
-//                producing a statistics blob,
+//   local_stats  one streaming pass over the rank's slice of a task, a
+//                block of records at a time, producing a statistics blob,
 //   combine      associative merge of two blobs, folded in rank order by
 //                mp::Comm::all_fold (no identity element is assumed),
 //   decide       given the globally combined blob, either produce a Router
-//                (record -> child 0/1) or declare the task a leaf.  decide
-//                is collective: it may run further collectives and further
-//                local passes (e.g. CLOUDS' alive-interval pass), and must
-//                reach the same conclusion on every rank,
+//                (block of records -> child 0/1 per record) or declare the
+//                task a leaf.  decide is collective: it may run further
+//                collectives and further local passes (e.g. CLOUDS'
+//                alive-interval pass), and must reach the same conclusion
+//                on every rank,
 //   on_split / on_leaf
 //                bookkeeping hooks, called identically on every rank,
 //   solve_sequential
@@ -49,11 +50,21 @@ struct Task {
 template <mp::Wireable T>
 class DcProblem {
  public:
-  /// Invokes the callback once per record of the local slice (one pass).
+  /// Invokes the callback once per block of the local slice (one pass).
   using Scan = io::RecordScan<T>;
-  /// Maps a record to child 0 (left) or 1 (right); must be a pure function
-  /// of the record and identical across ranks.
-  using Router = std::function<int(const T&)>;
+  /// Routes the partition pass a block at a time.  `route(block, child)`
+  /// sets child[i] to 0 (left) or 1 (right) for every block[i] -- a pure
+  /// function of the record, identical across ranks -- and may update the
+  /// children's statistics on the way.  It never touches the clock: the
+  /// driver charges `record_compute_s` of modeled compute for each record
+  /// immediately before appending it to its child's file, since the
+  /// writers stamp the clock whenever they enqueue a full block.
+  struct Router {
+    std::function<void(std::span<const T> block,
+                       std::span<std::uint8_t> child)>
+        route;
+    double record_compute_s = 0.0;
+  };
 
   virtual ~DcProblem() = default;
 

@@ -5,8 +5,9 @@
 //
 // A scan reads either an in-memory slice (small nodes, tests) or a file on
 // the rank's LocalDisk streamed in BlockReader blocks (the out-of-core
-// regime).  The callback is a template parameter, so each per-record body
-// inlines into the block loop; the scan itself is a cheap value that makes
+// regime).  The callback sees one block at a time, so a pass can work one
+// attribute at a time across a block; it is a template parameter, so it
+// inlines into the read loop.  The scan itself is a cheap value that makes
 // a fresh pass every time it is called.
 
 #include <cstdint>
@@ -34,18 +35,17 @@ class RecordScan {
         block_records_(block_records),
         pipeline_(pipeline) {}
 
-  /// One full pass; calls `fn(const T&)` for every record, in order.
+  /// One full pass; calls `fn(std::span<const T>)` once per block, blocks
+  /// in file order.  An in-memory scan passes its whole span as one block.
   template <class F>
   void operator()(F&& fn) const {
     if (disk_ == nullptr) {
-      for (const T& r : records_) fn(r);
+      fn(records_);
       return;
     }
     BlockReader<T> reader(*disk_, name_, block_records_, pipeline_);
     std::vector<T> block;
-    while (reader.next_block(block)) {
-      for (const T& r : block) fn(r);
-    }
+    while (reader.next_block(block)) fn(std::span<const T>(block));
   }
 
   std::uint64_t count() const {

@@ -157,9 +157,8 @@ class SpanGuard {
 
   ~SpanGuard() { close(); }
 
-  /// Attach args discovered mid-span (e.g. bytes known only after
-  /// serialization).
-  void set_bytes(std::uint64_t bytes) { ev_.bytes = bytes; }
+  /// Attach args discovered mid-span (e.g. a record count known only
+  /// after the pass).
   void set_n(std::uint64_t n) { ev_.n = n; }
   void set_depth(std::uint64_t depth) { ev_.depth = depth; }
 

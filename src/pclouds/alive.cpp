@@ -58,22 +58,22 @@ AliveOutcome evaluate_alive_parallel(
   std::vector<std::vector<WirePoint>> outgoing(
       static_cast<std::size_t>(comm.size()));
   const clouds::AliveIndex index(alive);
-  scan([&](const data::Record& r) {
-    index.for_each(r, [&](std::size_t i, float v) {
+  scan([&](std::span<const data::Record> blk) {
+    index.for_each_block(blk, [&](std::size_t r, std::size_t i, float v) {
       const int owner = assign.owner[i];
       if (owner == me) {
         // pdc: incore(alive point harvest: survival-bounded, one bucket per owned interval, freed after evaluation)
-        buckets[i].push_back({v, r.label});
+        buckets[i].push_back({v, blk[r].label});
         harvest_mem.add(sizeof(clouds::AlivePoint));
       } else {
         // pdc: incore(alive point routing: survival-bounded, only in-interval points are staged for the exchange)
         outgoing[static_cast<std::size_t>(owner)].push_back(
-            {v, static_cast<std::int32_t>(i), r.label});
+            {v, static_cast<std::int32_t>(i), blk[r].label});
         harvest_mem.add(sizeof(WirePoint));
       }
       ++out.points_shipped;
     });
-    hooks.charge_scan(alive.size());
+    hooks.charge_scan_each(blk.size(), alive.size());
   });
 
   {

@@ -1,6 +1,7 @@
 #include "pclouds/problem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -67,6 +68,80 @@ std::vector<std::byte> CloudsProblem::encode_sketch_blob(
 
 namespace {
 
+/// Adds records at(0) .. at(n-1) to a sketch-mode context: its class counts
+/// and one quantile sketch per numeric attribute, each fed in record order.
+template <class At>
+void add_to_sketches(data::ClassCounts& counts,
+                     std::vector<clouds::QuantileSketch>& sketches,
+                     std::size_t n, At at) {
+  for (std::size_t i = 0; i < n; ++i) {
+    ++counts[static_cast<std::size_t>(at(i).label)];
+  }
+  for (std::size_t a = 0; a < sketches.size(); ++a) {
+    for (std::size_t i = 0; i < n; ++i) sketches[a].add(at(i).num[a]);
+  }
+}
+
+/// One routed block: each record's child, and each child's share of the
+/// block as record positions in block order.
+class BlockSides {
+ public:
+  void route(const clouds::Split& split, std::span<const Record> blk,
+             std::span<std::uint8_t> child) {
+    for (auto& s : sel_) s.resize(blk.size());
+    std::array<std::size_t, 2> n{};
+    for (std::size_t i = 0; i < blk.size(); ++i) {
+      const std::uint8_t c = split.goes_left(blk[i]) ? 0 : 1;
+      child[i] = c;
+      sel_[c][n[c]++] = static_cast<std::uint32_t>(i);
+    }
+    n_ = n;
+  }
+
+  std::span<const std::uint32_t> of(std::size_t c) const {
+    return std::span(sel_[c]).first(n_[c]);
+  }
+
+ private:
+  std::array<std::vector<std::uint32_t>, 2> sel_;
+  std::array<std::size_t, 2> n_{};
+};
+
+/// Sample-mode router: fills the children's histograms and count matrices
+/// through lookups built for this one partition pass.
+struct StatsRouter {
+  clouds::Split split;
+  std::array<NodeStats*, 2> stats;
+  std::array<std::vector<clouds::IntervalLookup>, 2> lookups;
+  BlockSides sides;
+
+  void operator()(std::span<const Record> blk, std::span<std::uint8_t> child) {
+    sides.route(split, blk, child);
+    for (std::size_t c = 0; c < 2; ++c) {
+      stats[c]->add_block(blk, sides.of(c), lookups[c]);
+    }
+  }
+};
+
+/// Sketch-mode router: feeds the children's class counts and sketches.
+struct SketchRouter {
+  clouds::Split split;
+  std::array<data::ClassCounts*, 2> counts;
+  std::array<std::vector<clouds::QuantileSketch>*, 2> sketches;
+  BlockSides sides;
+
+  void operator()(std::span<const Record> blk, std::span<std::uint8_t> child) {
+    sides.route(split, blk, child);
+    for (std::size_t c = 0; c < 2; ++c) {
+      const auto sel = sides.of(c);
+      add_to_sketches(*counts[c], *sketches[c], sel.size(),
+                      [blk, sel](std::size_t i) -> const Record& {
+                        return blk[sel[i]];
+                      });
+    }
+  }
+};
+
 struct SketchBlob {
   data::ClassCounts counts{};
   std::vector<clouds::QuantileSketch> sketches;
@@ -109,16 +184,16 @@ std::vector<std::byte> CloudsProblem::local_stats(const Scan& scan,
 
   if (sketch_mode()) {
     if (!ctx.filled) {
-      // Compute is charged per record inside the scan (not in one bulk
-      // charge afterwards) so the pipelined reader can hide each block's
-      // I/O under the previous block's processing.
-      scan([&](const Record& r) {
-        ++ctx.local.counts[static_cast<std::size_t>(r.label)];
-        for (int a = 0; a < data::kNumNumeric; ++a) {
-          ctx.sketches[static_cast<std::size_t>(a)].add(
-              r.num[static_cast<std::size_t>(a)]);
-        }
-        hooks_.charge_scan(static_cast<std::uint64_t>(data::kNumNumeric));
+      // Compute is charged record by record inside the scan (not in one
+      // bulk charge afterwards) so the pipelined reader can hide each
+      // block's I/O under the previous block's processing.
+      scan([&](std::span<const Record> blk) {
+        add_to_sketches(ctx.local.counts, ctx.sketches, blk.size(),
+                        [blk](std::size_t i) -> const Record& {
+                          return blk[i];
+                        });
+        hooks_.charge_scan_each(blk.size(),
+                                static_cast<std::uint64_t>(data::kNumNumeric));
       });
       ctx.filled = true;
     } else if (ctx.prefilled) {
@@ -128,10 +203,7 @@ std::vector<std::byte> CloudsProblem::local_stats(const Scan& scan,
   }
 
   if (!ctx.filled) {
-    scan([&](const Record& r) {
-      ctx.local.add(r);
-      hooks_.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-    });
+    clouds::accumulate_stats(scan, ctx.local, hooks_);
     ctx.filled = true;
   } else if (ctx.prefilled) {
     ++diag_.prefilled_nodes;  // the pass the paper's partitioning saves
@@ -183,10 +255,7 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
       hist.bounds = merged.sketches[static_cast<std::size_t>(a)].boundaries(q);
       hist.reset_counts();
     }
-    scan([&](const Record& r) {
-      ctx.local.add(r);
-      hooks_.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-    });
+    clouds::accumulate_stats(scan, ctx.local, hooks_);
   }
 
   BoundaryDerivation bd;
@@ -281,36 +350,26 @@ std::optional<CloudsProblem::Router> CloudsProblem::decide(
   }
   splits_[task.id] = best.split;
 
-  const clouds::Split split = best.split;
-  // Routers charge their statistics work per record so the partition pass
-  // accrues compute between block reaps — the async writers hide their
-  // flushes under it.
-  const clouds::CostHooks hooks = hooks_;
+  // The router fills the children's statistics a block at a time while
+  // the driver partitions; the driver charges each record's scan right
+  // before appending it, so the async writers hide their flushes under the
+  // same compute as a record-at-a-time pass.
+  const double record_s =
+      hooks_.scan_cost(static_cast<std::uint64_t>(data::kNumAttributes));
+  TaskCtx& lchild = it->second.first;
+  TaskCtx& rchild = it->second.second;
   if (sketch_mode()) {
-    TaskCtx* lp = &it->second.first;
-    TaskCtx* rp = &it->second.second;
-    return Router([split, lp, rp, hooks](const Record& r) {
-      TaskCtx* side = split.goes_left(r) ? lp : rp;
-      ++side->local.counts[static_cast<std::size_t>(r.label)];
-      for (int a = 0; a < data::kNumNumeric; ++a) {
-        side->sketches[static_cast<std::size_t>(a)].add(
-            r.num[static_cast<std::size_t>(a)]);
-      }
-      hooks.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-      return side == lp ? 0 : 1;
-    });
+    return Router{SketchRouter{best.split,
+                               {&lchild.local.counts, &rchild.local.counts},
+                               {&lchild.sketches, &rchild.sketches},
+                               {}},
+                  record_s};
   }
-  NodeStats* lstats = &it->second.first.local;
-  NodeStats* rstats = &it->second.second.local;
-  return Router([split, lstats, rstats, hooks](const Record& r) {
-    hooks.charge_scan(static_cast<std::uint64_t>(data::kNumAttributes));
-    if (split.goes_left(r)) {
-      lstats->add(r);
-      return 0;
-    }
-    rstats->add(r);
-    return 1;
-  });
+  return Router{StatsRouter{best.split,
+                            {&lchild.local, &rchild.local},
+                            {lchild.local.lookups(), rchild.local.lookups()},
+                            {}},
+                record_s};
 }
 
 void CloudsProblem::on_split(mp::Comm& comm, const dc::Task& parent,
@@ -322,9 +381,9 @@ void CloudsProblem::on_split(mp::Comm& comm, const dc::Task& parent,
   auto [lc, rc] = std::move(pending_it->second);
   pending_.erase(pending_it);
 
-  // The router updated the children's statistics record by record during
-  // partitioning and charged that pass per record; combine the class counts
-  // globally so every rank grows an identical tree node.
+  // The router updated the children's statistics block by block during
+  // partitioning (the driver charged that pass per record); combine the
+  // class counts globally so every rank grows an identical tree node.
   struct PairCounts {
     data::ClassCounts l, r;
   };

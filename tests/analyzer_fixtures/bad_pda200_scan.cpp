@@ -1,5 +1,6 @@
 // PDA200 fixture: per-record container growth escaping a scan loop.
 #include <cstddef>
+#include <span>
 #include <vector>
 
 struct Record {
@@ -41,6 +42,32 @@ std::vector<Record> materialize_record_scan(const char* file) {
     kept.push_back(r);  // expect-PDA200
   });
   return kept;
+}
+
+// The block form io::RecordScan<T> calls: the callback takes a span and
+// loops over it, so the per-record growth sits in that inner loop.
+std::vector<Record> materialize_block_scan(const char* file) {
+  std::vector<Record> kept;
+  const RecordScan<Record> scan(file);
+  scan([&](std::span<const Record> blk) {
+    for (const auto& r : blk) {
+      kept.push_back(r);  // expect-PDA200
+    }
+  });
+  return kept;
+}
+
+// An annotated zone in the block form is sanctioned and inventoried.
+std::vector<Record> annotated_block_sample(const char* file) {
+  std::vector<Record> sample;
+  const RecordScan<Record> scan(file);
+  scan([&](std::span<const Record> blk) {
+    for (const auto& r : blk) {
+      // pdc: incore(fixture block-form sample: bounded by the sample rate)
+      sample.push_back(r);
+    }
+  });
+  return sample;
 }
 
 // Same discipline for explicit BlockReader loops.

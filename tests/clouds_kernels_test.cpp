@@ -124,8 +124,18 @@ TEST(Intervals, DegenerateSamples) {
   EXPECT_TRUE(equi_depth_boundaries({1.0f, 2.0f}, 1).empty());
 }
 
+/// The intervals `lookup` gives `values`, through its block form.
+std::vector<std::size_t> intervals_of(const IntervalLookup& lookup,
+                                      std::span<const float> values) {
+  std::vector<std::size_t> out(values.size());
+  lookup.for_each(
+      values.size(), [&](std::size_t i) { return values[i]; },
+      [&](std::size_t i, std::size_t j) { out[i] = j; });
+  return out;
+}
+
 TEST(Intervals, IntervalOfMatchesLinearScan) {
-  // interval_of must return exactly std::lower_bound's index for every
+  // IntervalLookup must return exactly std::lower_bound's index for every
   // non-NaN float, across bound counts that exercise each halving depth,
   // and the last interval for NaN (right of every boundary, where
   // Split::goes_left sends it).  The linear reference is the first j with
@@ -164,6 +174,7 @@ TEST(Intervals, IntervalOfMatchesLinearScan) {
     h.bounds = bounds;
     h.reset_counts();
     ASSERT_EQ(h.interval_count(), bounds.size() + 1);
+    const IntervalLookup lookup(h.bounds);
     auto linear = [&](float v) -> std::size_t {
       for (std::size_t j = 0; j < h.bounds.size(); ++j) {
         if (v <= h.bounds[j]) return j;
@@ -177,7 +188,7 @@ TEST(Intervals, IntervalOfMatchesLinearScan) {
               : static_cast<std::size_t>(
                     std::lower_bound(bounds.begin(), bounds.end(), v) -
                     bounds.begin());
-      const auto got = h.interval_of(v);
+      const auto got = intervals_of(lookup, std::span(&v, 1))[0];
       EXPECT_EQ(got, want) << "v=" << v << " n=" << bounds.size();
       EXPECT_EQ(got, linear(v)) << "v=" << v << " n=" << bounds.size();
     };
@@ -193,14 +204,90 @@ TEST(Intervals, IntervalOfMatchesLinearScan) {
   }
 }
 
+/// First j with v <= bounds[j], else bounds.size() (NaN included).
+std::size_t linear_interval(std::span<const float> bounds, float v) {
+  for (std::size_t j = 0; j < bounds.size(); ++j) {
+    if (v <= bounds[j]) return j;
+  }
+  return bounds.size();
+}
+
+TEST(Intervals, BucketedLookupIsExactOnEveryFloatClass) {
+  // The bucketed lookup against the linear-scan reference over every float
+  // class and over boundary layouts that stress the bucket map: none, one,
+  // infinite ends, a range whose width overflows (scale 0), and a cluster
+  // that forces the lower_bound fallback.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kLowest = std::numeric_limits<float>::lowest();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  constexpr float kMinNormal = std::numeric_limits<float>::min();
+
+  std::vector<float> cluster = {-1.0e30f};
+  for (float v = 1.0f; cluster.size() < 200; v = std::nextafter(v, kInf)) {
+    cluster.push_back(v);
+  }
+  cluster.push_back(1.0e30f);
+  std::mt19937 rng(29);
+  std::vector<float> sample(6000);
+  std::uniform_real_distribution<float> salary(20000.0f, 150000.0f);
+  for (auto& v : sample) v = salary(rng);
+  const std::vector<std::vector<float>> bound_sets = {
+      {},
+      {1.5f},
+      {-kInf, -1.0f, 0.0f, 2.0f, kInf},
+      {-kInf},
+      {kInf},
+      {kLowest, kMax},
+      {kLowest, -1.0f, kMax},
+      {-kDenorm, -0.0f, kDenorm, kMinNormal},
+      cluster,
+      equi_depth_boundaries(sample, 600),
+  };
+
+  std::vector<float> specials = {
+      0.0f, -0.0f, kInf, -kInf, kLowest, kMax, -kMax, kDenorm, -kDenorm,
+      kMinNormal, -kMinNormal, kMinNormal / 2, 1.0f, -1.0f, 1.0e30f,
+      -1.0e30f};
+  for (const std::uint32_t payload : {0x400000u, 0x1u, 0x2a2a2au, 0x7fffffu}) {
+    specials.push_back(std::bit_cast<float>(0x7f800000u | payload));
+    specials.push_back(std::bit_cast<float>(0xff800000u | payload));
+  }
+
+  std::size_t probes = 0;
+  for (const auto& bounds : bound_sets) {
+    const IntervalLookup lookup(bounds);
+    std::vector<float> values = specials;
+    for (const float b : bounds) {
+      values.push_back(b);
+      values.push_back(std::nextafter(b, -kInf));
+      values.push_back(std::nextafter(b, kInf));
+    }
+    std::uniform_int_distribution<std::uint32_t> bits;
+    for (int i = 0; i < (1 << 17); ++i) {
+      values.push_back(std::bit_cast<float>(bits(rng)));
+    }
+    const auto got = intervals_of(lookup, values);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const float v = values[i];
+      ASSERT_EQ(got[i], linear_interval(bounds, v))
+          << "v=" << v << " bits=" << std::bit_cast<std::uint32_t>(v)
+          << " n=" << bounds.size();
+    }
+    probes += values.size();
+  }
+  EXPECT_GE(probes, 1000000u);
+  EXPECT_GT(IntervalLookup(cluster).window(), IntervalLookup::kLinearWindow);
+}
+
 TEST(Intervals, PrefixCountsAccumulate) {
   IntervalHist h;
   h.bounds = {10.0f, 20.0f};
   h.reset_counts();
-  h.add(5.0f, 0);
-  h.add(10.0f, 1);
-  h.add(15.0f, 0);
-  h.add(25.0f, 1);
+  const std::vector<float> values = {5.0f, 10.0f, 15.0f, 25.0f};
+  const std::vector<std::size_t> labels = {0, 1, 0, 1};
+  const auto js = intervals_of(IntervalLookup(h.bounds), values);
+  for (std::size_t i = 0; i < values.size(); ++i) ++h.freq[js[i]][labels[i]];
   auto prefix = h.prefix_counts();
   ASSERT_EQ(prefix.size(), 2u);
   EXPECT_EQ(prefix[0], (ClassCounts{{{1, 1}}}));  // <= 10
@@ -467,13 +554,13 @@ std::vector<Hit> brute_force_hits(std::span<const AliveInterval> alive,
 void expect_index_matches_brute_force(std::span<const AliveInterval> alive,
                                       std::span<const Record> records) {
   const AliveIndex index(alive);
-  for (const auto& r : records) {
-    std::vector<Hit> got;
-    index.for_each(r, [&](std::size_t k, float v) {
-      got.emplace_back(k, std::bit_cast<std::uint32_t>(v));
-    });
-    ASSERT_EQ(got, brute_force_hits(alive, r))
-        << "alive=" << alive.size() << " salary=" << r.num[0];
+  std::vector<std::vector<Hit>> got(records.size());
+  index.for_each_block(records, [&](std::size_t i, std::size_t k, float v) {
+    got[i].emplace_back(k, std::bit_cast<std::uint32_t>(v));
+  });
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(got[i], brute_force_hits(alive, records[i]))
+        << "alive=" << alive.size() << " salary=" << records[i].num[0];
   }
 }
 

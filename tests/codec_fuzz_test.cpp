@@ -214,7 +214,7 @@ VotedSeed seeded_voted() {
     sample.push_back(records[i]);
   }
   seed.stats = NodeStats::with_boundaries(sample, 16);
-  for (const auto& r : records) seed.stats.add(r);
+  seed.stats.add_block(records, seed.stats.lookups());
   seed.candidates = {0, 2, data::kNumNumeric + 1};
   seed.expected_len = static_cast<std::size_t>(data::kNumClasses);
   for (const int attr : seed.candidates) {

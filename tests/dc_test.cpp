@@ -9,11 +9,14 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dc/driver.hpp"
 #include "dc/lpt.hpp"
 #include "dc/problem.hpp"
+#include "io/memory_budget.hpp"
+#include "io/pipeline.hpp"
 #include "io/scratch.hpp"
 #include "mp/runtime.hpp"
 
@@ -79,10 +82,12 @@ class BisectProblem final : public DcProblem<std::uint64_t> {
   std::vector<std::byte> local_stats(const Scan& scan,
                                      const Task&) override {
     Stats s;
-    scan([&](const std::uint64_t& v) {
-      s.n += 1;
-      s.lo = std::min(s.lo, v);
-      s.hi = std::max(s.hi, v);
+    scan([&](std::span<const std::uint64_t> blk) {
+      for (const std::uint64_t v : blk) {
+        s.n += 1;
+        s.lo = std::min(s.lo, v);
+        s.hi = std::max(s.hi, v);
+      }
     });
     return mp::to_bytes(s);
   }
@@ -105,7 +110,12 @@ class BisectProblem final : public DcProblem<std::uint64_t> {
     EXPECT_EQ(s.n, task.global_n);  // framework wired the sizes correctly
     if (s.n <= leaf_limit_ || s.lo == s.hi) return std::nullopt;
     const std::uint64_t mid = s.lo + (s.hi - s.lo) / 2;
-    return Router([mid](const std::uint64_t& v) { return v <= mid ? 0 : 1; });
+    return Router{[mid](std::span<const std::uint64_t> blk,
+                        std::span<std::uint8_t> child) {
+      for (std::size_t i = 0; i < blk.size(); ++i) {
+        child[i] = blk[i] <= mid ? 0 : 1;
+      }
+    }};
   }
 
   void on_leaf(mp::Comm& comm, const Task& task) override {
@@ -342,6 +352,108 @@ TEST(Driver, SingleRankRunsAllStrategies) {
                         rr.outcome.sequential_sizes.end(), std::uint64_t{0});
     EXPECT_EQ(covered, rr.input_n);
   }
+}
+
+// ---- Charge ordering in the partition pass ----
+
+/// Splits the root once (keys divisible by 3 go left) and makes both
+/// children leaves.  Only its router charges anything: `record_s` per
+/// record, through the driver.
+class ChargedSplitProblem final : public DcProblem<std::uint64_t> {
+ public:
+  explicit ChargedSplitProblem(double record_s) : record_s_(record_s) {}
+
+  std::vector<std::byte> local_stats(const Scan&, const Task&) override {
+    return {};
+  }
+  std::vector<std::byte> combine(std::vector<std::byte> a,
+                                 const std::vector<std::byte>&) override {
+    return a;
+  }
+  std::optional<Router> decide(mp::Comm& comm, const std::vector<std::byte>&,
+                               const Scan&, const Task& task) override {
+    if (task.id != 0) return std::nullopt;
+    before_partition = comm.clock().snapshot();
+    return Router{[](std::span<const std::uint64_t> blk,
+                     std::span<std::uint8_t> child) {
+                    for (std::size_t i = 0; i < blk.size(); ++i) {
+                      child[i] = blk[i] % 3 == 0 ? 0 : 1;
+                    }
+                  },
+                  record_s_};
+  }
+  void solve_sequential(const Task&, std::vector<std::uint64_t>) override {}
+
+  mp::ClockSnapshot before_partition;
+
+ private:
+  double record_s_;
+};
+
+TEST(Driver, PartitionChargesEachRecordBeforeAppendingIt) {
+  // The pipelined writers stamp the clock when they enqueue a full block,
+  // so where each record's compute lands relative to its append decides
+  // how much write I/O the pass hides.  The driver's pass must leave the
+  // clock exactly where a record-at-a-time loop that charges, then
+  // appends, leaves it.  A block's compute here is comparable to its I/O,
+  // the regime where the order shows in io_s and io_hidden_s.
+  constexpr double kRecordS = 2e-5;
+  std::vector<std::uint64_t> keys(20000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i * 2654435761u % 1000;
+  }
+  DcConfig cfg;
+  cfg.strategy = Strategy::kDataParallel;
+  cfg.memory_bytes = 1 << 14;
+  cfg.pipeline.enabled = true;
+  const std::size_t block = io::MemoryBudget(cfg.memory_bytes)
+                                .block_records(sizeof(std::uint64_t), 3);
+  ASSERT_LT(block * 4, keys.size());
+
+  io::ScratchArena arena("dc_charge_order", 2);
+  mp::Runtime rt(1);
+  rt.run([&](mp::Comm& comm) {
+    io::LocalDisk disk(arena.rank_dir(0), &comm.cost(), &comm.clock());
+    disk.write_file<std::uint64_t>("root.dat", keys);
+    DcDriver<std::uint64_t> driver(cfg, disk);
+    ChargedSplitProblem problem(kRecordS);
+    driver.run(comm, problem, "root.dat");
+    const mp::ClockSnapshot got = comm.clock().snapshot();
+
+    // The reference: the same disk history on a fresh clock, brought to
+    // the driver's clock at the start of the partition pass.
+    mp::Clock clock;
+    io::LocalDisk ref(arena.rank_dir(1), &comm.cost(), &clock);
+    ref.write_file<std::uint64_t>("root.dat", keys);
+    const mp::ClockSnapshot& start = problem.before_partition;
+    ASSERT_EQ(clock.snapshot().io_s, start.io_s);
+    ASSERT_EQ(clock.snapshot().compute_s, start.compute_s);
+    clock.add_comm(start.comm_s);
+    clock.add_idle(start.idle_s);
+    {
+      io::BlockWriter<std::uint64_t> lw(ref, "l", block, cfg.pipeline);
+      io::BlockWriter<std::uint64_t> rw(ref, "r", block, cfg.pipeline);
+      {
+        io::BlockReader<std::uint64_t> reader(ref, "root.dat", block,
+                                              cfg.pipeline);
+        std::vector<std::uint64_t> buf;
+        while (reader.next_block(buf)) {
+          for (const std::uint64_t v : buf) {
+            clock.add_compute(kRecordS);
+            (v % 3 == 0 ? lw : rw).append(v);
+          }
+        }
+      }
+      lw.close();
+      rw.close();
+    }
+    const mp::ClockSnapshot want = clock.snapshot();
+    EXPECT_GT(want.io_hidden_s, 0.0);
+    EXPECT_EQ(got.compute_s, want.compute_s);
+    EXPECT_EQ(got.io_s, want.io_s);
+    EXPECT_EQ(got.idle_s, want.idle_s);
+    EXPECT_EQ(got.io_hidden_s, want.io_hidden_s);
+  });
 }
 
 }  // namespace

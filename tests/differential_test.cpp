@@ -253,10 +253,12 @@ TEST_F(DriftSuite, NodeLevelGiniDeltaAndAgreementWithinBudget) {
       rt.run([&](mp::Comm& comm) {
         for (const auto& w : workloads) {
           auto local = clouds::NodeStats::with_boundaries(w.sample, q);
+          std::vector<std::uint32_t> mine;
           for (std::size_t i = static_cast<std::size_t>(comm.rank());
                i < w.records.size(); i += static_cast<std::size_t>(p)) {
-            local.add(w.records[i]);
+            mine.push_back(static_cast<std::uint32_t>(i));
           }
+          local.add_block(w.records, mine, local.lookups());
           const auto bd =
               pclouds::derive_voting(comm, local, k, /*hist_bits=*/0,
                                      /*want_alive=*/false, {});

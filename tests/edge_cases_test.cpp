@@ -184,7 +184,10 @@ TEST_P(IntervalDistributions, EquiDepthBucketsAreBalanced) {
   clouds::IntervalHist hist;
   hist.bounds = bounds;
   hist.reset_counts();
-  for (const float v : sample) hist.add(v, 0);
+  const clouds::IntervalLookup lookup(hist.bounds);
+  lookup.for_each(
+      sample.size(), [&](std::size_t i) { return sample[i]; },
+      [&](std::size_t, std::size_t j) { ++hist.freq[j][0]; });
   const double ideal = static_cast<double>(sample.size()) /
                        static_cast<double>(hist.interval_count());
   if (GetParam() != 3) {  // ties make balance impossible by construction

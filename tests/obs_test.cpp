@@ -61,7 +61,7 @@ TEST(Trace, DisabledTracerRecordsNothingAndSpansAreSafe) {
   RankTracer null;
   EXPECT_FALSE(null.enabled());
   SpanGuard sp(null, "ignored", "test");
-  sp.set_bytes(7);
+  sp.set_n(7);
   sp.close();
   null.count("nope");
   null.observe("nope", 1.0);

@@ -55,10 +55,12 @@ Workload make_workload(int q, std::uint64_t seed) {
 /// NodeStats with the same (sample-derived) boundaries.
 NodeStats local_stats_of(const Workload& w, int rank, int p, int q) {
   auto stats = NodeStats::with_boundaries(w.sample, q);
+  std::vector<std::uint32_t> mine;
   for (std::size_t i = static_cast<std::size_t>(rank); i < w.records.size();
        i += static_cast<std::size_t>(p)) {
-    stats.add(w.records[i]);
+    mine.push_back(static_cast<std::uint32_t>(i));
   }
+  stats.add_block(w.records, mine, stats.lookups());
   return stats;
 }
 
@@ -179,10 +181,12 @@ TEST(ZeroRecordRank, EmptyLocalStatsMergeExactly) {
     // Ranks 0..2 share the records round-robin; rank 3 holds none.
     auto local = NodeStats::with_boundaries(w.sample, q);
     if (comm.rank() < p - 1) {
+      std::vector<std::uint32_t> mine;
       for (std::size_t i = static_cast<std::size_t>(comm.rank());
            i < w.records.size(); i += static_cast<std::size_t>(p - 1)) {
-        local.add(w.records[i]);
+        mine.push_back(static_cast<std::uint32_t>(i));
       }
+      local.add_block(w.records, mine, local.lookups());
     }
     for (const auto& bd :
          {derive_distributed(comm, local, /*want_alive=*/true, {}),

@@ -71,10 +71,12 @@ Workload make_workload(int q, std::uint64_t seed, bool skewed) {
 
 NodeStats local_stats_of(const Workload& w, int rank, int p, int q) {
   auto stats = NodeStats::with_boundaries(w.sample, q);
+  std::vector<std::uint32_t> mine;
   for (std::size_t i = static_cast<std::size_t>(rank); i < w.records.size();
        i += static_cast<std::size_t>(p)) {
-    stats.add(w.records[i]);
+    mine.push_back(static_cast<std::uint32_t>(i));
   }
+  stats.add_block(w.records, mine, stats.lookups());
   return stats;
 }
 
