@@ -65,20 +65,24 @@ before anything runs, with three interprocedural checks:
 
   PDA510 untrusted-narrowing
       A value originating from a deserialization buffer (from_bytes,
-      fread, a decode_/get_/take_-family reader) flowing into an
+      fread, a decode_/get_/take_-family reader, mp::WireReader's
+      get<T>()) flowing into an
       allocation size (resize/reserve/assign/new[]), an array index, a
       memcpy length, a loop bound, or a narrowing static_cast with no
       intervening validated bound.  A bound counts when the value is
       relationally compared in an if/loop condition whose guarded region
       throws or returns, or when the use is wrapped in std::min/clamp.
+      WireReader::get_count() is bounded by construction: it rejects a
+      count the remaining bytes cannot hold before returning it.
       Flagged flows are published in the report's `untrusted_flows`
       section; the discipline generalizes the CompiledTree::from_bytes
       validation layer to every codec.
 
   PDA520 nondeterminism-escapes-to-wire
-      Nondeterministic bytes reaching a serialize path: a pointer value
-      cast to uintptr_t (or an address-of argument passed as a wire
-      value), iteration over an unordered container inside a writer
+      Nondeterministic bytes reaching a serialize path (a function named
+      like a writer, or one that builds an mp::WireWriter): a pointer
+      value cast to uintptr_t (or an address-of argument passed as a wire
+      value to a put_ helper or a WireWriter put call), iteration over an unordered container inside a writer
       function with no sort in sight, or a whole-struct memcpy of a type
       with computed padding bytes and no memset scrub before it.  Any of
       these makes the wire image differ between runs that are
@@ -1140,6 +1144,9 @@ WIRE_PREFIX_FAMILIES = (
 )
 WRITER_NAME_RE = re.compile(
     r"^(?:serialize|to_bytes|export_state)$|^(?:encode_|put_|append_)")
+# A function that builds an mp::WireWriter is a serialize path whatever
+# its name (write_checkpoint, CheckpointStore::write, ...).
+WIRE_WRITER_DECL_RE = re.compile(r"\bWireWriter\s+[A-Za-z_]\w*\s*[;{(]")
 
 # Wire-read seeds for PDA510: the canonical byte-decoding entry points
 # plus every reader-prefixed function actually defined in the scanned
@@ -1149,12 +1156,21 @@ WRITER_NAME_RE = re.compile(
 WIRE_READ_EXACT = ("deserialize", "from_bytes", "value_from_bytes",
                    "fread")
 WIRE_READ_PREFIXES = ("decode_", "get_", "take_")
+# Readers whose result is bounded by construction: WireReader::get_count
+# rejects a count the remaining bytes cannot hold before returning it.
+WIRE_READ_BOUNDED = ("get_count",)
+# WireReader::get<T>() -- a bare value straight off the wire.  Matched as
+# a member call with explicit template arguments, so std::get<I>(tuple)
+# and smart-pointer .get() never seed.
+WIRE_READ_MEMBER = r"(?:\.|->)\s*get\s*<[^;(]*>"
 
 # Dotted accesses that are structure traversal, not wire fields.
 DOTTED_IGNORE = {"first", "second"}
 
+# Member calls, templated ones (`w.put<T>(...)`) included, are not fields.
 DOTTED_ACCESS_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\b(?!\s*\()")
+    r"\b([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\b"
+    r"(?!\s*\()(?!\s*<[^;()]*>\s*\()")
 
 RELOP_RE = re.compile(r"(?<![<>\-=])[<>]=?(?![<>])|[!=]=(?!=)")
 REJECT_RE = re.compile(
@@ -1398,7 +1414,7 @@ def _wire_reader_names(models):
             if any(fn.name.startswith(p) and len(fn.name) > len(p)
                    for p in WIRE_READ_PREFIXES):
                 names.add(fn.name)
-    return names
+    return names - set(WIRE_READ_BOUNDED)
 
 
 def build_throwers(models):
@@ -1488,8 +1504,8 @@ def _validations(body: str):
 def check_pda510(fm: FileModel, add, untrusted_flows, reader_names,
                  throwers):
     seed_call_re = re.compile(
-        r"\b(?:" + "|".join(sorted(re.escape(n) for n in reader_names))
-        + r")\s*(?:<[^;(]*>)?\s*\(")
+        r"(?:\b(?:" + "|".join(sorted(re.escape(n) for n in reader_names))
+        + r")\s*(?:<[^;(]*>)?|" + WIRE_READ_MEMBER + r")\s*\(")
     for fn in fm.functions:
         body = fn.body
         if not seed_call_re.search(body):
@@ -1645,9 +1661,11 @@ def _struct_layout(cls: ClassModel, class_reg, seen=None):
 
 def check_pda520(fm: FileModel, add, class_reg):
     writer_helper_re = re.compile(
-        r"\b((?:put_|append_|encode_)\w+)\s*(?:<[^;(]*>)?\s*\(")
+        r"(\.|->)?\s*\b(put(?:_\w+)?|(?:append_|encode_)\w+)\s*"
+        r"(?:<[^;(]*>)?\s*\(")
     for fn in fm.functions:
-        if not WRITER_NAME_RE.match(fn.name):
+        if not (WRITER_NAME_RE.match(fn.name)
+                or WIRE_WRITER_DECL_RE.search(fn.body)):
             continue
         body = fn.body
         for m in UINTPTR_CAST_RE.finditer(body):
@@ -1660,13 +1678,15 @@ def check_pda520(fm: FileModel, add, class_reg):
             close = match_paren(body, body.index("(", m.start()))
             args = _split_args(
                 body[body.index("(", m.start()) + 1:close - 1])
-            for a in args[1:]:
+            # A free helper's first argument is its output buffer; a
+            # WireWriter member call takes only wire values.
+            for a in args if m.group(1) else args[1:]:
                 if re.fullmatch(r"&\s*[A-Za-z_][\w.\[\]]*", a) \
                         or a == "this":
-                    line = body.count("\n", 0, m.start()) + fn.start_line
+                    line = body.count("\n", 0, m.start(2)) + fn.start_line
                     add(fm, line, "PDA520", fn.name,
                         f"address-of argument {a} passed as a wire value "
-                        f"to {m.group(1)}() (pointer bytes are not "
+                        f"to {m.group(2)}() (pointer bytes are not "
                         "reproducible)")
         # Unordered-container iteration in a writer: member or local.
         unordered = {m.group(1) for m in re.finditer(

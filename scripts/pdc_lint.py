@@ -33,11 +33,12 @@ silently break them:
                               hides the intended ordering contract and
                               costs fences on weakly-ordered targets
   PDC010 raw-wire-cast        no reinterpret_cast / raw memcpy in library
-                              code outside the designated codec helpers
-                              (mp/serialize.hpp); every other byte-level
-                              transmutation is a wire-format decision and
-                              must carry a reasoned suppression so the
-                              full inventory is greppable
+                              code outside the one wire codec
+                              (mp/serialize.hpp: to_bytes/from_bytes and
+                              the WireWriter/WireReader pair); every other
+                              byte-level transmutation must carry a
+                              reasoned suppression so the full inventory
+                              is greppable
   PDC000 bare-suppression     a pdc-lint suppression must carry a reason
 
 Suppress a finding with a trailing comment carrying a justification:
@@ -83,10 +84,11 @@ PDC008_ALLOWLIST = (
     "src/common/sync.hpp",
 )
 
-# The designated byte-transmutation helpers: mp::to_bytes/from_bytes are
-# the blessed primitive every codec is supposed to build on.  Every other
-# reinterpret_cast/memcpy in src/ must either migrate to them or carry an
-# allow(PDC010) with a reason, which makes
+# The one wire codec: mp::to_bytes/from_bytes for flat arrays, and the
+# bounds-checked mp::WireWriter/WireReader pair for multi-field formats
+# (put/get, counted put_vec/get_vec, put_string/get_string, get_count).
+# Every other reinterpret_cast/memcpy in src/ must either migrate to them
+# or carry an allow(PDC010) with a reason, which makes
 # `grep -rn 'allow(PDC010)' src` the complete inventory of raw wire casts.
 PDC010_ALLOWLIST = (
     "src/mp/serialize.hpp",
@@ -139,8 +141,9 @@ RULES = [
     Rule("PDC009", "implicit-seq-cst",
          "std::atomic op without an explicit memory-order argument", True),
     Rule("PDC010", "raw-wire-cast",
-         "reinterpret_cast/memcpy outside the designated codec helpers "
-         "(mp/serialize.hpp)", True),
+         "reinterpret_cast/memcpy outside the one wire codec "
+         "(mp/serialize.hpp: to_bytes/from_bytes, WireWriter/WireReader)",
+         True),
 ]
 
 # Line-scoped patterns per rule.  The code view has comments and string

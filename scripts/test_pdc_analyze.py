@@ -276,6 +276,26 @@ class UntrustedFlows(unittest.TestCase):
         self.assertEqual(report["summary"]["untrusted_flows"], 0)
 
 
+class WireCodecFixtures(unittest.TestCase):
+    """The checks see mp::WireReader/WireWriter: a bare get<T>() value is
+    untrusted, a get_count() value is bounded, and the writer's put calls
+    are checked for address-of arguments."""
+
+    def test_misused_pair_yields_exactly_its_markers(self):
+        name = "bad_wire_codec.cpp"
+        expected = sorted(
+            [(line, "PDA510") for line in marker_lines(name, "PDA510")]
+            + [(line, "PDA520") for line in marker_lines(name, "PDA520")])
+        self.assertEqual(len(expected), 3)
+        findings, _ = analyze_fixture(name)
+        self.assertEqual([(f.line, f.rule) for f in findings], expected)
+
+    def test_get_count_bounds_what_it_returns(self):
+        findings, report = analyze_fixture("good_wire_codec.cpp")
+        self.assertEqual([f.render() for f in findings], [])
+        self.assertEqual(report["untrusted_flows"], [])
+
+
 class TaintEngine(unittest.TestCase):
     def test_uniform_collective_cleanses_taint(self):
         body = ("{ const int rounds = comm.all_reduce(local); "

@@ -17,11 +17,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <span>
+#include <utility>
 #include <vector>
 
-#include "common/wire.hpp"
+#include "mp/serialize.hpp"
 
 namespace pdc::clouds {
 
@@ -93,53 +92,30 @@ class QuantileSketch {
   /// must continue the alternating-offset sequence where the original
   /// stopped, or the first post-resume compaction diverges from an
   /// uninterrupted run and the ranks stop agreeing on boundaries.
-  std::vector<std::byte> serialize() const {
-    std::vector<std::byte> out;
-    append_u64(out, k_);
-    append_u64(out, count_);
-    append_u64(out, levels_.size());
-    for (const auto& lvl : levels_) {
-      append_u64(out, lvl.size());
-      const auto* bytes = reinterpret_cast<const std::byte*>(lvl.data());  // pdc-lint: allow(PDC010) -- float payload onto the wire; layout documented above
-      out.insert(out.end(), bytes, bytes + lvl.size() * sizeof(float));
-    }
-    append_u64(out, compactions_.size());
-    for (const std::uint64_t c : compactions_) append_u64(out, c);
-    return out;
+  void serialize(mp::WireWriter& w) const {
+    w.put<std::uint64_t>(k_);
+    w.put<std::uint64_t>(count_);
+    w.put<std::uint64_t>(levels_.size());
+    for (const auto& lvl : levels_) w.put_vec<float>(lvl);
+    w.put_vec<std::uint64_t>(compactions_);
   }
 
-  /// Inverse of serialize(); advances `offset` past the consumed bytes.
-  /// Throws pdc::WireError on truncated input or an implausible count.
-  static QuantileSketch deserialize(std::span<const std::byte> bytes,
-                                    std::size_t& offset) {
+  std::vector<std::byte> serialize() const {
+    mp::WireWriter w;
+    serialize(w);
+    return std::move(w).take();
+  }
+
+  /// Inverse of serialize(w).  Throws pdc::WireError on truncated input
+  /// or an implausible count.
+  static QuantileSketch deserialize(mp::WireReader& r) {
     QuantileSketch s;
-    s.k_ = std::max<std::size_t>(take_u64(bytes, offset),
-                                 std::size_t{8});
-    s.count_ = take_u64(bytes, offset);
-    const auto nlevels = take_u64(bytes, offset);
-    // Each level costs at least its u64 size header, so a count beyond
-    // the remaining bytes / 8 cannot be honest.
-    if (nlevels > (bytes.size() - offset) / sizeof(std::uint64_t)) {
-      throw WireError("QuantileSketch: implausible level count");
-    }
-    s.levels_.resize(nlevels);
-    for (auto& lvl : s.levels_) {
-      const auto n = take_u64(bytes, offset);
-      if (n > (bytes.size() - offset) / sizeof(float)) {
-        throw WireError("QuantileSketch: level overruns the buffer");
-      }
-      lvl.resize(n);
-      if (n != 0) {
-        std::memcpy(lvl.data(), bytes.data() + offset, n * sizeof(float));  // pdc-lint: allow(PDC010) -- float payload off the wire; n bounds-checked above
-      }
-      offset += n * sizeof(float);
-    }
-    const auto ncomp = take_u64(bytes, offset);
-    if (ncomp > (bytes.size() - offset) / sizeof(std::uint64_t)) {
-      throw WireError("QuantileSketch: compaction list overruns buffer");
-    }
-    s.compactions_.resize(ncomp);
-    for (auto& c : s.compactions_) c = take_u64(bytes, offset);
+    s.k_ = std::max<std::size_t>(r.get<std::uint64_t>(), std::size_t{8});
+    s.count_ = r.get<std::uint64_t>();
+    // Each level costs at least its u64 size header.
+    s.levels_.resize(r.get_count(sizeof(std::uint64_t)));
+    for (auto& lvl : s.levels_) lvl = r.get_vec<float>();
+    s.compactions_ = r.get_vec<std::uint64_t>();
     return s;
   }
 
@@ -181,22 +157,6 @@ class QuantileSketch {
     }
     std::sort(items.begin(), items.end());
     return items;
-  }
-
-  static void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    const auto* bytes = reinterpret_cast<const std::byte*>(&v);  // pdc-lint: allow(PDC010) -- u64 header onto the wire, native endianness by contract
-    out.insert(out.end(), bytes, bytes + sizeof(v));
-  }
-
-  static std::uint64_t take_u64(std::span<const std::byte> bytes,
-                                std::size_t& offset) {
-    std::uint64_t v;
-    if (offset > bytes.size() || bytes.size() - offset < sizeof(v)) {
-      throw WireError("QuantileSketch: truncated header read");
-    }
-    std::memcpy(&v, bytes.data() + offset, sizeof(v));  // pdc-lint: allow(PDC010) -- u64 header off the wire; bounds-checked above
-    offset += sizeof(v);
-    return v;
   }
 
   std::size_t k_;

@@ -28,13 +28,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/wire.hpp"
 #include "dc/lpt.hpp"
 #include "dc/problem.hpp"
 #include "fault/checkpoint.hpp"
@@ -43,6 +42,7 @@
 #include "io/pipeline.hpp"
 #include "io/scan.hpp"
 #include "mp/comm.hpp"
+#include "mp/serialize.hpp"
 #include "obs/trace.hpp"
 
 namespace pdc::dc {
@@ -67,8 +67,6 @@ struct DcConfig {
   std::uint64_t small_threshold = 0;
   /// Per-rank memory for streaming buffers.
   std::size_t memory_bytes = 1 << 20;
-  /// Keep the caller's root file intact (children get driver-owned files).
-  bool preserve_root_file = true;
   /// Snapshot the queued loop's state (pending queues, partial result)
   /// every N dequeued tasks; 0 disables checkpointing.  Only the queued
   /// strategies (data-parallel / task-parallel / mixed) checkpoint —
@@ -93,7 +91,11 @@ struct DcReport {
   std::uint64_t records_redistributed = 0;
   std::size_t checkpoints = 0;   ///< snapshots written this run
   bool resumed = false;          ///< this run started from a snapshot
+  /// The tail padding, spelled out and zeroed: the checkpoint writes the
+  /// struct's bytes, and implicit padding bytes are indeterminate.
+  std::uint8_t padding[7] = {};
 };
+static_assert(sizeof(DcReport) == 64, "DcReport is written to snapshots");
 
 template <mp::Wireable T>
 class DcDriver {
@@ -106,6 +108,7 @@ class DcDriver {
     report_ = DcReport{};
     next_id_ = 1;
     ckpt_version_ = 1;
+    root_file_ = root_file;
 
     Pending root;
     root.task.id = 0;
@@ -117,7 +120,7 @@ class DcDriver {
     if (cfg_.strategy == Strategy::kConcatenated) {
       run_concatenated(comm, problem, std::move(root));
     } else if (cfg_.strategy == Strategy::kTaskGroups) {
-      run_group(comm, problem, std::move(root), root_file);
+      run_group(comm, problem, std::move(root));
     } else {
       run_queued(comm, problem, std::move(root));
     }
@@ -139,10 +142,16 @@ class DcDriver {
     return comm.all_reduce<std::uint64_t>(local);
   }
 
-  void drop_file(const Pending& p, const std::string& root_file) {
-    if (p.file != root_file || !cfg_.preserve_root_file) {
-      disk_->remove(p.file);
-    }
+  /// Removes a task's data file; the caller's root file is never touched
+  /// (children get driver-owned files).
+  void drop_file(const Pending& p) {
+    if (p.file != root_file_) disk_->remove(p.file);
+  }
+
+  void leaf(mp::Comm& comm, DcProblem<T>& problem, const Pending& p) {
+    problem.on_leaf(comm, p.task);
+    ++report_.leaves;
+    drop_file(p);
   }
 
   std::vector<std::byte> combined_stats(
@@ -163,8 +172,7 @@ class DcDriver {
   /// parent file removed).  `block` is the per-stream block size.
   std::pair<Pending, Pending> partition(
       mp::Comm& comm, DcProblem<T>& problem, const Pending& parent,
-      const typename DcProblem<T>::Router& router, std::size_t block,
-      const std::string& root_file) {
+      const typename DcProblem<T>::Router& router, std::size_t block) {
     auto sp = obs::SpanGuard(comm.tracer(), "partition-pass", "dc");
     Pending left;
     Pending right;
@@ -195,7 +203,7 @@ class DcDriver {
       lw.close();
       rw.close();
     }
-    drop_file(parent, root_file);
+    drop_file(parent);
     sp.set_n(ln + rn);
     comm.tracer().observe("dc.partition_pass_records",
                           static_cast<double>(ln + rn));
@@ -224,10 +232,27 @@ class DcDriver {
     return {std::move(left), std::move(right)};
   }
 
+  /// The large-node step of the queued and group loops: one data-parallel
+  /// statistics pass over `cur`, the combine, decide(), then the partition
+  /// pass.  A task decide() declines becomes a leaf (returns nothing).
+  std::optional<std::pair<Pending, Pending>> split_large(
+      mp::Comm& comm, DcProblem<T>& problem, const Pending& cur,
+      std::size_t block) {
+    ++report_.large_tasks;
+    const io::RecordScan<T> scan(*disk_, cur.file, block, cfg_.pipeline);
+    const auto local = problem.local_stats(scan, cur.task);
+    const auto global = combined_stats(comm, problem, local);
+    auto router = problem.decide(comm, global, scan, cur.task);
+    if (!router) {
+      leaf(comm, problem, cur);
+      return std::nullopt;
+    }
+    return partition(comm, problem, cur, *router, block);
+  }
+
   // ------------------------------------------- data / task / mixed loop ---
 
   void run_queued(mp::Comm& comm, DcProblem<T>& problem, Pending root) {
-    const std::string root_file = root.file;
     const std::uint64_t threshold = small_threshold();
 
     std::deque<Pending> queue;
@@ -255,9 +280,7 @@ class DcDriver {
       queue.pop_front();
 
       if (cur.task.global_n == 0) {
-        problem.on_leaf(comm, cur.task);
-        ++report_.leaves;
-        drop_file(cur, root_file);
+        leaf(comm, problem, cur);
         continue;
       }
       if (cur.task.global_n <= threshold) {
@@ -265,36 +288,25 @@ class DcDriver {
         continue;
       }
 
-      ++report_.large_tasks;
       auto sp = obs::SpanGuard(comm.tracer(), "large-node", "dc", obs::kNoArg,
                                cur.task.global_n);
       sp.set_depth(static_cast<std::uint64_t>(cur.task.depth));
-      const std::size_t block = budget_.block_records(sizeof(T), 3);
-      const io::RecordScan<T> scan(*disk_, cur.file, block, cfg_.pipeline);
-      const auto local = problem.local_stats(scan, cur.task);
-      const auto global = combined_stats(comm, problem, local);
-      auto router = problem.decide(comm, global, scan, cur.task);
-      if (!router) {
-        problem.on_leaf(comm, cur.task);
-        ++report_.leaves;
-        drop_file(cur, root_file);
-        continue;
+      auto children =
+          split_large(comm, problem, cur, budget_.block_records(sizeof(T), 3));
+      if (children) {
+        queue.push_back(std::move(children->first));
+        queue.push_back(std::move(children->second));
       }
-      auto [left, right] =
-          partition(comm, problem, cur, *router, block, root_file);
-      queue.push_back(std::move(left));
-      queue.push_back(std::move(right));
     }
 
     if (!small.empty()) {
-      solve_small_batch(comm, problem, small, root_file);
+      solve_small_batch(comm, problem, small);
     }
   }
 
   // ------------------------------------------------------- concatenated ---
 
   void run_concatenated(mp::Comm& comm, DcProblem<T>& problem, Pending root) {
-    const std::string root_file = root.file;
     std::vector<Pending> level;
     level.push_back(std::move(root));
 
@@ -315,13 +327,23 @@ class DcDriver {
                                      cfg_.pipeline);
         locals[i] = problem.local_stats(scan, level[i].task);
       }
+      // The level's frame: every task's blob size, then the blobs.
+      mp::WireWriter frame;
+      for (const auto& b : locals) frame.put<std::uint64_t>(b.size());
+      for (const auto& b : locals) frame.put_raw<std::byte>(b);
+      const auto unframe = [&](const std::vector<std::byte>& bytes) {
+        mp::WireReader r(bytes, "DcDriver: level frame");
+        std::vector<std::vector<std::byte>> blobs;
+        blobs.reserve(level.size());
+        for (const std::uint64_t n : r.get_raw<std::uint64_t>(level.size())) {
+          blobs.push_back(r.get_raw<std::byte>(n));
+        }
+        return blobs;
+      };
       const auto combined = comm.all_fold(
-          frame_blobs(locals),
-          [&](const std::vector<std::byte>& frame) {
-            return unframe_blobs(frame, level.size());
-          },
-          [&](auto acc, const std::vector<std::byte>& frame) {
-            auto other = unframe_blobs(frame, level.size());
+          std::move(frame).take(), unframe,
+          [&](auto acc, const std::vector<std::byte>& bytes) {
+            auto other = unframe(bytes);
             for (std::size_t i = 0; i < level.size(); ++i) {
               acc[i] = problem.combine(std::move(acc[i]), other[i]);
             }
@@ -332,22 +354,17 @@ class DcDriver {
       for (std::size_t i = 0; i < level.size(); ++i) {
         Pending& cur = level[i];
         if (cur.task.global_n == 0) {
-          problem.on_leaf(comm, cur.task);
-          ++report_.leaves;
-          drop_file(cur, root_file);
+          leaf(comm, problem, cur);
           continue;
         }
         ++report_.large_tasks;
         const io::RecordScan<T> scan(*disk_, cur.file, block, cfg_.pipeline);
         auto router = problem.decide(comm, combined[i], scan, cur.task);
         if (!router) {
-          problem.on_leaf(comm, cur.task);
-          ++report_.leaves;
-          drop_file(cur, root_file);
+          leaf(comm, problem, cur);
           continue;
         }
-        auto [left, right] =
-            partition(comm, problem, cur, *router, block, root_file);
+        auto [left, right] = partition(comm, problem, cur, *router, block);
         next.push_back(std::move(left));
         next.push_back(std::move(right));
       }
@@ -359,38 +376,25 @@ class DcDriver {
 
   /// Recursive task parallelism with processor groups.  Invariant: the
   /// task's data lives only on the disks of `comm`'s members.
-  void run_group(mp::Comm& comm, DcProblem<T>& problem, Pending cur,
-                 const std::string& root_file) {
+  void run_group(mp::Comm& comm, DcProblem<T>& problem, Pending cur) {
     if (cur.task.global_n == 0) {
-      problem.on_leaf(comm, cur.task);
-      ++report_.leaves;
-      drop_file(cur, root_file);
+      leaf(comm, problem, cur);
       return;
     }
     if (comm.size() == 1) {
       // Terminal group: solve the whole subtree sequentially.
       auto data = disk_->read_file<T>(cur.file);
-      drop_file(cur, root_file);
+      drop_file(cur);
       ++report_.small_tasks;
       problem.solve_sequential(cur.task, std::move(data));
       return;
     }
 
     // One data-parallel split within the group.
-    ++report_.large_tasks;
     const std::size_t block = budget_.block_records(sizeof(T), 3);
-    const io::RecordScan<T> scan(*disk_, cur.file, block, cfg_.pipeline);
-    const auto local = problem.local_stats(scan, cur.task);
-    const auto global = combined_stats(comm, problem, local);
-    auto router = problem.decide(comm, global, scan, cur.task);
-    if (!router) {
-      problem.on_leaf(comm, cur.task);
-      ++report_.leaves;
-      drop_file(cur, root_file);
-      return;
-    }
-    auto [left, right] =
-        partition(comm, problem, cur, *router, block, root_file);
+    auto children = split_large(comm, problem, cur, block);
+    if (!children) return;
+    auto& [left, right] = *children;
 
     // Subgroups sized by the children's estimated sequential costs.
     const double cl = problem.sequential_cost(left.task.global_n);
@@ -407,7 +411,7 @@ class DcDriver {
                                 color == 0 ? left : right, block);
 
     mp::Comm sub = comm.split(color);
-    run_group(sub, problem, std::move(mine), root_file);
+    run_group(sub, problem, std::move(mine));
 
     // Unwind: the two subgroups exchange their finished subtrees so every
     // member of this group holds the whole subtree of `cur`.
@@ -460,8 +464,7 @@ class DcDriver {
   // ------------------------------------------------ delayed task phase ---
 
   void solve_small_batch(mp::Comm& comm, DcProblem<T>& problem,
-                         std::vector<Pending>& small,
-                         const std::string& root_file) {
+                         std::vector<Pending>& small) {
     auto sp = obs::SpanGuard(comm.tracer(), "small-node-drain", "dc",
                              obs::kNoArg, small.size());
     report_.small_tasks = small.size();
@@ -487,7 +490,7 @@ class DcDriver {
       report_.records_redistributed += slice.size();
       meta[dest].push_back(slice.size());
       payload[dest].insert(payload[dest].end(), slice.begin(), slice.end());
-      drop_file(small[i], root_file);
+      drop_file(small[i]);
     }
     const auto in_meta = comm.all_to_all<std::uint64_t>(meta);
     const auto in_payload = comm.all_to_all<T>(payload);
@@ -518,56 +521,39 @@ class DcDriver {
 
   // --------------------------------------------- checkpoint / restart ---
 
-  template <class V>
-  static void append_raw(std::vector<std::byte>& out, const V& v) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    const auto at = out.size();
-    out.resize(at + sizeof(V));
-    std::memcpy(out.data() + at, &v, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value onto the checkpoint wire
-  }
-
-  template <class V>
-  static V take_raw(std::span<const std::byte> in, std::size_t& at) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    if (at > in.size() || in.size() - at < sizeof(V)) {
-      throw WireError("DcDriver: truncated checkpoint state");
-    }
-    V v;
-    std::memcpy(&v, in.data() + at, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value off the wire; bounds-checked above
-    at += sizeof(V);
-    return v;
-  }
-
   /// Snapshot this rank's view of the loop: driver counters, the problem's
   /// partial result, both pending queues, and the raw contents of every
   /// pending task's data file (the live files keep changing after the
   /// snapshot, so the snapshot must carry its own copies).  Purely local —
   /// no collective — because every rank reaches this point at the same
   /// iteration with the same version counter.
+  ///
+  /// The `state` blob is one mp::WireWriter stream: next_id_, report_,
+  /// the queue and small-list lengths (u64), then per pending task its
+  /// Task and its file name as a counted string.  The file contents go in
+  /// blobs `task_<i>`, in the same order.  wire_format_test pins the
+  /// bytes, so a snapshot written by an older build still resumes.
   void write_checkpoint(mp::Comm& comm, DcProblem<T>& problem,
                         const std::deque<Pending>& queue,
                         const std::vector<Pending>& small) {
     auto sp = obs::SpanGuard(comm.tracer(), "checkpoint-write", "fault");
     std::vector<fault::CheckpointBlob> blobs;
-    std::vector<std::byte> state;
-    append_raw(state, next_id_);
-    append_raw(state, report_);
-    append_raw(state, static_cast<std::uint64_t>(queue.size()));
-    append_raw(state, static_cast<std::uint64_t>(small.size()));
+    mp::WireWriter state;
+    state.put(next_id_);
+    state.put(report_);
+    state.put<std::uint64_t>(queue.size());
+    state.put<std::uint64_t>(small.size());
     std::size_t idx = 0;
     auto add_entry = [&](const Pending& p) {
-      append_raw(state, p.task);
-      append_raw(state, static_cast<std::uint64_t>(p.file.size()));
-      const auto at = state.size();
-      state.resize(at + p.file.size());
-      std::memcpy(state.data() + at, p.file.data(), p.file.size());  // pdc-lint: allow(PDC010) -- file-name bytes onto the wire, length framed above
+      state.put(p.task);
+      state.put_string(p.file);
       blobs.push_back({"task_" + std::to_string(idx++),
                        disk_->read_file<std::byte>(p.file)});
     };
     for (const auto& p : queue) add_entry(p);
     for (const auto& p : small) add_entry(p);
     blobs.push_back({"problem", problem.export_state()});
-    blobs.push_back({"state", std::move(state)});
+    blobs.push_back({"state", std::move(state).take()});
 
     fault::CheckpointStore store(*disk_);
     store.write(ckpt_version_, blobs);
@@ -603,36 +589,26 @@ class DcDriver {
     const std::uint64_t v = std::ranges::max(common);
 
     const auto state = store.read_blob(v, "state");
-    std::size_t at = 0;
-    next_id_ = take_raw<std::int64_t>(state, at);
-    report_ = take_raw<DcReport>(state, at);
-    const auto n_queue = take_raw<std::uint64_t>(state, at);
-    const auto n_small = take_raw<std::uint64_t>(state, at);
-    // Every pending entry costs at least a Task plus a u64 name length on
-    // the wire; counts the remaining bytes cannot hold are corrupt.
+    mp::WireReader r(state, "DcDriver: checkpoint state");
+    next_id_ = r.get<std::int64_t>();
+    report_ = r.get<DcReport>();
+    // Every pending entry costs at least a Task plus a u64 name length.
     const std::size_t entry_floor = sizeof(Task) + sizeof(std::uint64_t);
-    if (n_queue > (state.size() - at) / entry_floor ||
-        n_small > (state.size() - at) / entry_floor) {
-      throw WireError("DcDriver: pending count overruns checkpoint state");
-    }
+    const auto n_queue = r.get_count(entry_floor);
+    const auto n_small = r.get_count(entry_floor);
     std::size_t idx = 0;
     auto take_entry = [&]() {
       Pending p;
-      p.task = take_raw<Task>(state, at);
-      const auto len = take_raw<std::uint64_t>(state, at);
-      if (state.size() - at < len) {
-        throw WireError("DcDriver: truncated checkpoint state");
-      }
-      p.file.assign(reinterpret_cast<const char*>(state.data() + at),  // pdc-lint: allow(PDC010) -- file-name bytes off the wire; len bounds-checked above
-                    static_cast<std::size_t>(len));
-      at += len;
+      p.task = r.get<Task>();
+      p.file = r.get_string();
       const auto content =
           store.read_blob(v, "task_" + std::to_string(idx++));
       disk_->write_file<std::byte>(p.file, content);
       return p;
     };
-    for (std::uint64_t i = 0; i < n_queue; ++i) queue.push_back(take_entry());
-    for (std::uint64_t i = 0; i < n_small; ++i) small.push_back(take_entry());
+    for (std::size_t i = 0; i < n_queue; ++i) queue.push_back(take_entry());
+    for (std::size_t i = 0; i < n_small; ++i) small.push_back(take_entry());
+    r.expect_end();
     problem.restore_state(store.read_blob(v, "problem"));
 
     // The next snapshot overwrites anything past the agreed cut (a rank
@@ -641,48 +617,6 @@ class DcDriver {
     report_.resumed = true;
     comm.tracer().count("fault.resumes");
     return true;
-  }
-
-  // --------------------------------------------------------- framing ---
-
-  static std::vector<std::byte> frame_blobs(
-      const std::vector<std::vector<std::byte>>& blobs) {
-    std::vector<std::uint64_t> sizes;
-    sizes.reserve(blobs.size());
-    std::size_t total = 0;
-    for (const auto& b : blobs) {
-      sizes.push_back(b.size());
-      total += b.size();
-    }
-    std::vector<std::byte> out;
-    out.reserve(sizes.size() * sizeof(std::uint64_t) + total);
-    const auto header = mp::to_bytes(std::span<const std::uint64_t>(sizes));
-    out.insert(out.end(), header.begin(), header.end());
-    for (const auto& b : blobs) out.insert(out.end(), b.begin(), b.end());
-    return out;
-  }
-
-  static std::vector<std::vector<std::byte>> unframe_blobs(
-      const std::vector<std::byte>& frame, std::size_t count) {
-    if (frame.size() < count * sizeof(std::uint64_t)) {
-      throw WireError("DcDriver: frame too short for its size header");
-    }
-    std::vector<std::vector<std::byte>> out(count);
-    const auto sizes = mp::from_bytes<std::uint64_t>(std::span(
-        frame.data(), count * sizeof(std::uint64_t)));
-    std::size_t off = count * sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < count; ++i) {
-      // Each framed size must fit in what is left of the payload before it
-      // drives the copy below.
-      if (sizes[i] > frame.size() - off) {
-        throw WireError("DcDriver: framed blob overruns the payload");
-      }
-      out[i].assign(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                    frame.begin() +
-                        static_cast<std::ptrdiff_t>(off + sizes[i]));
-      off += sizes[i];
-    }
-    return out;
   }
 
   std::uint64_t small_threshold() const {
@@ -704,6 +638,7 @@ class DcDriver {
   io::LocalDisk* disk_;
   io::MemoryBudget budget_;
   DcReport report_;
+  std::string root_file_;
   std::int64_t next_id_ = 1;
   std::uint64_t ckpt_version_ = 1;
 };

@@ -438,8 +438,7 @@ class Comm {
     if (tracer_.enabled()) {
       // Stamp the span with this collective's cross-rank identity so the
       // profiler can align it with the other members' spans offline.
-      sp.set_sync(lockstep_site_hash(loc.file_name(), loc.line(), prim),
-                  comm_id_, coll_seq_);
+      sp.set_sync(comm_id_, coll_seq_);
     }
     if (lockstep_) {
       ctx_->audit_slot(rank_) = make_lockstep_record(prim, coll_seq_, loc);

@@ -76,7 +76,7 @@ CritGraph CritGraph::from_trace(const Tracer& tracer,
       op.begin_s = ev.begin_s;
       op.end_s = ev.end_s;
       op.name = ev.name;
-      if (ev.comm != kNoArg && ev.site != kNoArg) {
+      if (ev.comm != kNoArg) {
         op.kind = CritOp::Kind::kCollective;
         op.comm = ev.comm;
         op.seq = ev.seq;

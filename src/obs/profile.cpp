@@ -15,7 +15,7 @@ namespace {
 /// True for the events critpath.cpp turns into atomic ops; everything else
 /// (kComplete) is a phase span whose interior is tiled by atomics.
 bool is_atomic(const TraceEvent& ev) {
-  if (ev.comm != kNoArg && ev.site != kNoArg) return true;
+  if (ev.comm != kNoArg) return true;
   return span_names::is_io_atomic(ev.name);
 }
 

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -104,13 +103,6 @@ Json event_json(const TraceEvent& ev, int rank) {
       };
       arg("bytes", ev.bytes);
       arg("n", ev.n);
-      if (ev.site != kNoArg) {
-        // Site hashes render as hex to match the lockstep reports.
-        char hex[17];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(ev.site));
-        args.set("site", hex);
-      }
       arg("comm", ev.comm);
       arg("seq", ev.seq);
       arg("depth", ev.depth);

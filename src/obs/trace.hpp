@@ -49,11 +49,10 @@ struct TraceEvent {
   std::uint64_t n = kNoArg;      ///< optional "n" arg (records, tasks, ...)
   double value = 0.0;            ///< kCounter only
 
-  // Synchronization identity (obs/critpath.hpp): collectives carry the
-  // lockstep site hash, their communicator id and per-communicator
-  // sequence number.  Grouping spans across tracks by (comm, seq)
-  // recovers every cross-rank dependency edge of the run offline.
-  std::uint64_t site = kNoArg;  ///< collective call-site hash
+  // Synchronization identity (obs/critpath.hpp): collectives carry their
+  // communicator id and per-communicator sequence number.  Grouping spans
+  // across tracks by (comm, seq) recovers every cross-rank dependency
+  // edge of the run offline.
   std::uint64_t comm = kNoArg;  ///< communicator id (collectives)
   std::uint64_t seq = kNoArg;   ///< per-communicator collective sequence
   std::uint64_t depth = kNoArg; ///< tree depth of the enclosing task
@@ -162,11 +161,10 @@ class SpanGuard {
   void set_n(std::uint64_t n) { ev_.n = n; }
   void set_depth(std::uint64_t depth) { ev_.depth = depth; }
 
-  /// Stamp the synchronization identity of a collective span (lockstep
-  /// site hash, communicator id, per-communicator sequence number) so
+  /// Stamp the synchronization identity of a collective span
+  /// (communicator id, per-communicator sequence number) so
   /// obs/critpath.hpp can align the same collective across rank tracks.
-  void set_sync(std::uint64_t site, std::uint64_t comm, std::uint64_t seq) {
-    ev_.site = site;
+  void set_sync(std::uint64_t comm, std::uint64_t seq) {
     ev_.comm = comm;
     ev_.seq = seq;
   }

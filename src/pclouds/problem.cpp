@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/wire.hpp"
+#include "mp/serialize.hpp"
 #include "pclouds/alive.hpp"
 #include "pclouds/combiners.hpp"
 #include "pclouds/stats_codec.hpp"
@@ -57,13 +57,10 @@ CloudsProblem::TaskCtx& CloudsProblem::ctx_of(const dc::Task& task) {
 std::vector<std::byte> CloudsProblem::encode_sketch_blob(
     const TaskCtx& ctx) const {
   // [ClassCounts][sketch * kNumNumeric]
-  std::vector<std::byte> out =
-      mp::to_bytes<data::ClassCounts>(ctx.local.counts);  // pdc: nonwire(local is the stats holder; only counts travels, landing in SketchBlob::counts)
-  for (const auto& s : ctx.sketches) {
-    const auto bytes = s.serialize();
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  return out;
+  mp::WireWriter w;
+  w.put(ctx.local.counts);  // pdc: nonwire(local is the stats holder; only counts travels, landing in SketchBlob::counts)
+  for (const auto& s : ctx.sketches) s.serialize(w);
+  return std::move(w).take();
 }
 
 namespace {
@@ -148,19 +145,16 @@ struct SketchBlob {
 };
 
 SketchBlob decode_sketch_blob(std::span<const std::byte> blob) {
+  mp::WireReader r(blob, "pclouds: sketch blob");
   SketchBlob out;
-  if (blob.size() < sizeof(data::ClassCounts)) {
-    throw WireError("pclouds: truncated sketch blob");
-  }
   // pdc: nonwire(counts mirrors encode's ctx.local.counts; the decode side
   //              has no NodeStats to land it in, only this holder struct)
-  out.counts = mp::value_from_bytes<data::ClassCounts>(
-      blob.subspan(0, sizeof(data::ClassCounts)));
-  std::size_t offset = sizeof(data::ClassCounts);
+  out.counts = r.get<data::ClassCounts>();
   out.sketches.reserve(data::kNumNumeric);
   for (int a = 0; a < data::kNumNumeric; ++a) {
-    out.sketches.push_back(clouds::QuantileSketch::deserialize(blob, offset));
+    out.sketches.push_back(clouds::QuantileSketch::deserialize(r));
   }
+  r.expect_end();
   return out;
 }
 
@@ -484,94 +478,43 @@ double CloudsProblem::sequential_cost(std::uint64_t n) const {
 
 namespace {
 
-template <class V>
-void put_raw(std::vector<std::byte>& out, const V& v) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  const auto at = out.size();
-  out.resize(at + sizeof(V));
-  std::memcpy(out.data() + at, &v, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value onto the checkpoint wire
-}
-
-template <class V>
-V get_raw(std::span<const std::byte> in, std::size_t& at) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  if (at > in.size() || in.size() - at < sizeof(V)) {
-    throw WireError("pclouds: truncated checkpoint blob");
-  }
-  V v;
-  std::memcpy(&v, in.data() + at, sizeof(V));  // pdc-lint: allow(PDC010) -- trivially-copyable value off the wire; bounds-checked above
-  at += sizeof(V);
-  return v;
-}
-
-template <class V>
-void put_vec(std::vector<std::byte>& out, const std::vector<V>& v) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  put_raw(out, static_cast<std::uint64_t>(v.size()));
-  const auto at = out.size();
-  out.resize(at + v.size() * sizeof(V));
-  if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size() * sizeof(V));  // pdc-lint: allow(PDC010) -- counted array onto the checkpoint wire
-}
-
-template <class V>
-std::vector<V> get_vec(std::span<const std::byte> in, std::size_t& at) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  const auto n = get_raw<std::uint64_t>(in, at);
-  if ((in.size() - at) / sizeof(V) < n) {
-    throw WireError("pclouds: truncated checkpoint blob");
-  }
-  std::vector<V> v(static_cast<std::size_t>(n));
-  if (n != 0) std::memcpy(v.data(), in.data() + at, v.size() * sizeof(V));  // pdc-lint: allow(PDC010) -- counted array off the wire; n bounds-checked above
-  at += v.size() * sizeof(V);
-  return v;
-}
-
-void put_stats(std::vector<std::byte>& out, const NodeStats& s) {
-  put_raw(out, s.counts);
-  put_raw(out, static_cast<std::uint64_t>(s.hists.size()));
+void put_stats(mp::WireWriter& w, const NodeStats& s) {
+  w.put(s.counts);
+  w.put<std::uint64_t>(s.hists.size());
   for (const auto& h : s.hists) {
-    put_vec(out, h.bounds);
-    put_vec(out, h.freq);
+    w.put_vec<float>(h.bounds);
+    w.put_vec<data::ClassCounts>(h.freq);
   }
-  put_raw(out, static_cast<std::uint64_t>(s.cats.size()));
+  w.put<std::uint64_t>(s.cats.size());
   for (const auto& c : s.cats) {
     // pdc: nonwire(attr travels as the CountMatrix constructor argument on
     //              the read side, not as a field assignment)
-    put_raw(out, c.attr);
-    put_vec(out, c.counts);
+    w.put<int>(c.attr);
+    w.put_vec<data::ClassCounts>(c.counts);
   }
 }
 
-NodeStats get_stats(std::span<const std::byte> in, std::size_t& at) {
+NodeStats get_stats(mp::WireReader& r) {
   NodeStats s;
-  s.counts = get_raw<data::ClassCounts>(in, at);
-  const auto nh = get_raw<std::uint64_t>(in, at);
-  // Every histogram costs at least two u64 vector headers on the wire, so
-  // a count beyond the remaining bytes / 16 is corrupt: reject it before
-  // it sizes an allocation.
-  if (nh > (in.size() - at) / (2 * sizeof(std::uint64_t))) {
-    throw WireError("pclouds: histogram count overruns the checkpoint blob");
-  }
-  s.hists.resize(static_cast<std::size_t>(nh));
+  s.counts = r.get<data::ClassCounts>();
+  // Every histogram costs at least its two vector headers on the wire.
+  s.hists.resize(r.get_count(2 * sizeof(std::uint64_t)));
   for (auto& h : s.hists) {
-    h.bounds = get_vec<float>(in, at);
-    h.freq = get_vec<data::ClassCounts>(in, at);
+    h.bounds = r.get_vec<float>();
+    h.freq = r.get_vec<data::ClassCounts>();
   }
-  const auto nc = get_raw<std::uint64_t>(in, at);
-  if (nc > (in.size() - at) / (sizeof(int) + sizeof(std::uint64_t))) {
-    throw WireError("pclouds: category count overruns the checkpoint blob");
-  }
+  const auto nc = r.get_count(sizeof(int) + sizeof(std::uint64_t));
   s.cats.clear();
-  s.cats.reserve(static_cast<std::size_t>(nc));
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    const int attr = get_raw<int>(in, at);
+  s.cats.reserve(nc);
+  for (std::size_t i = 0; i < nc; ++i) {
+    const int attr = r.get<int>();
     // The CountMatrix constructor indexes kCatCardinality[attr]; a corrupt
     // attribute id must be rejected before it reaches that table.
     if (attr < 0 || attr >= data::kNumCategorical) {
       throw WireError("pclouds: categorical attribute id out of range");
     }
     clouds::CountMatrix c(attr);
-    c.counts = get_vec<data::ClassCounts>(in, at);
+    c.counts = r.get_vec<data::ClassCounts>();
     s.cats.push_back(std::move(c));
   }
   return s;
@@ -595,50 +538,47 @@ std::vector<std::byte> CloudsProblem::export_state() const {
   if (!pending_.empty() || !splits_.empty()) {
     throw std::logic_error("pclouds: export_state with a decision in flight");
   }
-  std::vector<std::byte> out;
+  mp::WireWriter w;
   // Decisions replay after a resume, so the knobs that steer them must
   // match the snapshot's; stamp them first and verify on restore.
-  put_raw(out, static_cast<std::int32_t>(cfg_.combiner));
-  put_raw(out, static_cast<std::int32_t>(cfg_.vote_k));
-  put_raw(out, static_cast<std::int32_t>(cfg_.hist_bits));
-  put_vec(out, tree_.serialize());
+  w.put<std::int32_t>(static_cast<std::int32_t>(cfg_.combiner));
+  w.put<std::int32_t>(cfg_.vote_k);
+  w.put<std::int32_t>(cfg_.hist_bits);
+  w.put_vec<clouds::TreeNode>(tree_.serialize());
 
-  put_raw(out, static_cast<std::uint64_t>(node_of_.size()));
+  w.put<std::uint64_t>(node_of_.size());
   for (const auto id : sorted_keys(node_of_)) {
-    put_raw(out, id);
-    put_raw(out, node_of_.at(id));
+    w.put(id);
+    w.put(node_of_.at(id));
   }
 
-  put_raw(out, static_cast<std::uint64_t>(ctxs_.size()));
+  w.put<std::uint64_t>(ctxs_.size());
   for (const auto id : sorted_keys(ctxs_)) {
     const TaskCtx& ctx = ctxs_.at(id);
-    put_raw(out, id);
-    put_raw(out, static_cast<std::uint8_t>(ctx.filled ? 1 : 0));
-    put_raw(out, static_cast<std::uint8_t>(ctx.prefilled ? 1 : 0));
-    put_vec(out, ctx.sample);
-    put_stats(out, ctx.local);
-    put_raw(out, static_cast<std::uint64_t>(ctx.sketches.size()));
-    for (const auto& s : ctx.sketches) {
-      const auto bytes = s.serialize();
-      out.insert(out.end(), bytes.begin(), bytes.end());
-    }
+    w.put(id);
+    w.put<std::uint8_t>(ctx.filled ? 1 : 0);
+    w.put<std::uint8_t>(ctx.prefilled ? 1 : 0);
+    w.put_vec<Record>(ctx.sample);
+    put_stats(w, ctx.local);
+    w.put<std::uint64_t>(ctx.sketches.size());
+    for (const auto& s : ctx.sketches) s.serialize(w);
   }
 
-  put_raw(out, static_cast<std::uint64_t>(small_subtrees_.size()));
+  w.put<std::uint64_t>(small_subtrees_.size());
   for (const auto& [id, nodes] : small_subtrees_) {
-    put_raw(out, id);
-    put_vec(out, nodes);
+    w.put(id);
+    w.put_vec<clouds::TreeNode>(nodes);
   }
 
-  put_raw(out, diag_);
-  return out;
+  w.put(diag_);
+  return std::move(w).take();
 }
 
 void CloudsProblem::restore_state(std::span<const std::byte> blob) {
-  std::size_t at = 0;
-  const auto snap_combiner = get_raw<std::int32_t>(blob, at);
-  const auto snap_vote_k = get_raw<std::int32_t>(blob, at);
-  const auto snap_hist_bits = get_raw<std::int32_t>(blob, at);
+  mp::WireReader r(blob, "pclouds: checkpoint blob");
+  const auto snap_combiner = r.get<std::int32_t>();
+  const auto snap_vote_k = r.get<std::int32_t>();
+  const auto snap_hist_bits = r.get<std::int32_t>();
   if (snap_combiner != static_cast<std::int32_t>(cfg_.combiner) ||
       snap_vote_k != cfg_.vote_k || snap_hist_bits != cfg_.hist_bits) {
     throw std::runtime_error(
@@ -646,61 +586,50 @@ void CloudsProblem::restore_state(std::span<const std::byte> blob) {
         "configuration; resume with the matching --combiner/--vote-k/"
         "--hist-bits or start fresh");
   }
-  tree_ = clouds::DecisionTree::deserialize(get_vec<clouds::TreeNode>(blob, at));
+  tree_ = clouds::DecisionTree::deserialize(r.get_vec<clouds::TreeNode>());
 
   node_of_.clear();
-  const auto n_nodes = get_raw<std::uint64_t>(blob, at);
-  // Every entry costs an int64 task id plus an int32 node index on the
-  // wire; reject a count the remaining bytes cannot possibly hold.
-  if (n_nodes > (blob.size() - at) /
-                    (sizeof(std::int64_t) + sizeof(std::int32_t))) {
-    throw WireError("pclouds: node map overruns the checkpoint blob");
-  }
-  for (std::uint64_t i = 0; i < n_nodes; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
-    const auto node = get_raw<std::int32_t>(blob, at);
+  // Every entry costs an int64 task id plus an int32 node index.
+  const auto n_nodes =
+      r.get_count(sizeof(std::int64_t) + sizeof(std::int32_t));
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const auto id = r.get<std::int64_t>();
+    const auto node = r.get<std::int32_t>();
     node_of_.emplace(id, node);
   }
 
   ctxs_.clear();
   pending_.clear();
   splits_.clear();
-  const auto n_ctxs = get_raw<std::uint64_t>(blob, at);
-  for (std::uint64_t i = 0; i < n_ctxs; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
+  // Every context costs at least its id, two flags and a sample header.
+  const auto n_ctxs =
+      r.get_count(sizeof(std::int64_t) + 2 + sizeof(std::uint64_t));
+  for (std::size_t i = 0; i < n_ctxs; ++i) {
+    const auto id = r.get<std::int64_t>();
     TaskCtx ctx;
-    ctx.filled = get_raw<std::uint8_t>(blob, at) != 0;
-    ctx.prefilled = get_raw<std::uint8_t>(blob, at) != 0;
-    ctx.sample = get_vec<Record>(blob, at);
-    ctx.local = get_stats(blob, at);
-    const auto n_sketches = get_raw<std::uint64_t>(blob, at);
-    // A serialized sketch is at least four u64 headers; bound the count
-    // before it sizes the reserve below.
-    if (n_sketches > (blob.size() - at) / (4 * sizeof(std::uint64_t))) {
-      throw WireError("pclouds: sketch count overruns the checkpoint blob");
-    }
-    ctx.sketches.reserve(static_cast<std::size_t>(n_sketches));
-    for (std::uint64_t s = 0; s < n_sketches; ++s) {
-      ctx.sketches.push_back(clouds::QuantileSketch::deserialize(blob, at));
+    ctx.filled = r.get<std::uint8_t>() != 0;
+    ctx.prefilled = r.get<std::uint8_t>() != 0;
+    ctx.sample = r.get_vec<Record>();
+    ctx.local = get_stats(r);
+    // A serialized sketch is at least four u64 headers.
+    const auto n_sketches = r.get_count(4 * sizeof(std::uint64_t));
+    ctx.sketches.reserve(n_sketches);
+    for (std::size_t s = 0; s < n_sketches; ++s) {
+      ctx.sketches.push_back(clouds::QuantileSketch::deserialize(r));
     }
     ctxs_.emplace(id, std::move(ctx));
   }
 
   small_subtrees_.clear();
-  const auto n_small = get_raw<std::uint64_t>(blob, at);
   // Every entry costs an int64 id plus a u64 vector header.
-  if (n_small > (blob.size() - at) / (2 * sizeof(std::uint64_t))) {
-    throw WireError("pclouds: subtree count overruns the checkpoint blob");
-  }
-  for (std::uint64_t i = 0; i < n_small; ++i) {
-    const auto id = get_raw<std::int64_t>(blob, at);
-    small_subtrees_.emplace_back(id, get_vec<clouds::TreeNode>(blob, at));
+  const auto n_small = r.get_count(2 * sizeof(std::uint64_t));
+  for (std::size_t i = 0; i < n_small; ++i) {
+    const auto id = r.get<std::int64_t>();
+    small_subtrees_.emplace_back(id, r.get_vec<clouds::TreeNode>());
   }
 
-  diag_ = get_raw<Diag>(blob, at);
-  if (at != blob.size()) {
-    throw WireError("pclouds: trailing bytes in checkpoint blob");
-  }
+  diag_ = r.get<Diag>();
+  r.expect_end();
 }
 
 }  // namespace pdc::pclouds

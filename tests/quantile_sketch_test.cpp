@@ -11,6 +11,7 @@
 
 #include "clouds/intervals.hpp"
 #include "clouds/quantile_sketch.hpp"
+#include "mp/serialize.hpp"
 
 namespace pdc::clouds {
 namespace {
@@ -104,9 +105,9 @@ TEST(QuantileSketch, SerializeRoundTrip) {
   QuantileSketch s(128);
   for (float v : data) s.add(v);
   const auto bytes = s.serialize();
-  std::size_t offset = 0;
-  auto restored = QuantileSketch::deserialize(bytes, offset);
-  EXPECT_EQ(offset, bytes.size());
+  mp::WireReader r(bytes);
+  auto restored = QuantileSketch::deserialize(r);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(restored.count(), s.count());
   EXPECT_EQ(restored.serialize(), bytes);
   EXPECT_FLOAT_EQ(restored.quantile(0.5), s.quantile(0.5));
@@ -119,13 +120,13 @@ TEST(QuantileSketch, SeveralSketchesShareOneBuffer) {
     a.add(static_cast<float>(i));
     b.add(static_cast<float>(-i));
   }
-  std::vector<std::byte> buffer = a.serialize();
-  const auto more = b.serialize();
-  buffer.insert(buffer.end(), more.begin(), more.end());
-  std::size_t offset = 0;
-  auto ra = QuantileSketch::deserialize(buffer, offset);
-  auto rb = QuantileSketch::deserialize(buffer, offset);
-  EXPECT_EQ(offset, buffer.size());
+  mp::WireWriter w;
+  a.serialize(w);
+  b.serialize(w);
+  mp::WireReader r(w.bytes());
+  auto ra = QuantileSketch::deserialize(r);
+  auto rb = QuantileSketch::deserialize(r);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(ra.count(), 1000u);
   EXPECT_EQ(rb.count(), 1000u);
   EXPECT_GT(ra.quantile(0.5), 0.0f);
